@@ -6,8 +6,6 @@ type node =
   | Sum of t array
   | Max of t array
   | Scale of float * t
-  | Affine of { bias : float; coefs : (int * float) array }
-  | Hinge of t
 
 and t = { id : int; node : node }
 
@@ -17,8 +15,6 @@ type view =
   | V_sum of t array
   | V_max of t array
   | V_scale of float * t
-  | V_affine of { bias : float; coefs : (int * float) array }
-  | V_hinge of t
 
 let view e =
   match e.node with
@@ -27,8 +23,6 @@ let view e =
   | Sum es -> V_sum es
   | Max es -> V_max es
   | Scale (c, e') -> V_scale (c, e')
-  | Affine { bias; coefs } -> V_affine { bias; coefs }
-  | Hinge e' -> V_hinge e'
 
 let id e = e.id
 
@@ -79,47 +73,6 @@ let scale c e =
 
 let add a b = sum [ a; b ]
 
-(* Affine forms and positive-part squares extend the posynomial
-   language just enough for penalty objectives (consensus-ADMM block
-   subproblems): an affine form is both convex and concave, and
-   [hinge e = (max(e,0))²] composes a nondecreasing convex scalar
-   function with a convex [e], so every expression built from the
-   extended grammar is still convex in x. *)
-let affine ~bias ~coefs =
-  if not (Float.is_finite bias) then invalid_arg "Expr.affine: non-finite bias";
-  let tbl = Hashtbl.create 8 in
-  List.iter
-    (fun (i, a) ->
-      if i < 0 then invalid_arg "Expr.affine: negative variable index";
-      if not (Float.is_finite a) then
-        invalid_arg "Expr.affine: non-finite coefficient";
-      let cur = Option.value (Hashtbl.find_opt tbl i) ~default:0.0 in
-      Hashtbl.replace tbl i (cur +. a))
-    coefs;
-  let coefs =
-    Hashtbl.fold (fun i a acc -> if a = 0.0 then acc else (i, a) :: acc) tbl []
-    |> List.sort (fun (i, _) (j, _) -> Int.compare i j)
-    |> Array.of_list
-  in
-  mk (Affine { bias; coefs })
-
-let hinge e =
-  match e.node with
-  | Const c ->
-      let u = Float.max c 0.0 in
-      const (u *. u)
-  | Affine { bias; coefs } when Array.length coefs = 0 ->
-      let u = Float.max bias 0.0 in
-      const (u *. u)
-  | _ -> mk (Hinge e)
-
-(* (e)² for an affine [e]: the two one-sided hinges partition the line,
-   so their sum is the full square — expressible without a dedicated
-   square node, and each summand is convex on its own. *)
-let sq_affine ~bias ~coefs =
-  let neg = List.map (fun (i, a) -> (i, -.a)) coefs in
-  add (hinge (affine ~bias ~coefs)) (hinge (affine ~bias:(-.bias) ~coefs:neg))
-
 let fold_reachable f acc root =
   let seen = Hashtbl.create 64 in
   let rec go acc e =
@@ -128,8 +81,8 @@ let fold_reachable f acc root =
       Hashtbl.add seen e.id ();
       let acc = f acc e in
       match e.node with
-      | Const _ | Term _ | Affine _ -> acc
-      | Scale (_, e') | Hinge e' -> go acc e'
+      | Const _ | Term _ -> acc
+      | Scale (_, e') -> go acc e'
       | Sum es | Max es -> Array.fold_left go acc es
     end
   in
@@ -143,9 +96,7 @@ let max_var root =
       match e.node with
       | Term { expts; _ } ->
           Array.fold_left (fun m (i, _) -> Int.max m i) m expts
-      | Affine { coefs; _ } ->
-          Array.fold_left (fun m (i, _) -> Int.max m i) m coefs
-      | Const _ | Sum _ | Max _ | Scale _ | Hinge _ -> m)
+      | Const _ | Sum _ | Max _ | Scale _ -> m)
     (-1) root
 
 (* Log-sum-exp of [vs] at temperature [mu], with the usual max shift for
@@ -182,13 +133,6 @@ let eval ?(mu = 0.0) e x =
           | Sum es -> Array.fold_left (fun acc e' -> acc +. go e') 0.0 es
           | Max es -> smooth_max ~mu (Array.map go es)
           | Scale (c, e') -> c *. go e'
-          | Affine { bias; coefs } ->
-              Array.fold_left
-                (fun acc (i, a) -> acc +. (a *. x.(i)))
-                bias coefs
-          | Hinge e' ->
-              let u = Float.max (go e') 0.0 in
-              u *. u
         in
         Hashtbl.add memo e.id v;
         v
@@ -245,19 +189,6 @@ let eval_grad ?(mu = 0.0) e x =
           | Scale (c, e') ->
               let v', g' = go e' in
               (c *. v', Vec.scale c g')
-          | Affine { bias; coefs } ->
-              let v =
-                Array.fold_left
-                  (fun acc (i, a) -> acc +. (a *. x.(i)))
-                  bias coefs
-              in
-              let g = Vec.create n 0.0 in
-              Array.iter (fun (i, a) -> g.(i) <- a) coefs;
-              (v, g)
-          | Hinge e' ->
-              let v', g' = go e' in
-              let u = Float.max v' 0.0 in
-              (u *. u, Vec.scale (2.0 *. u) g')
         in
         Hashtbl.add memo e.id vg;
         vg
@@ -282,11 +213,6 @@ let rec pp fmt e =
       Format.fprintf fmt "max";
       pp_seq fmt ", " es
   | Scale (c, e') -> Format.fprintf fmt "%g*(%a)" c pp e'
-  | Affine { bias; coefs } ->
-      Format.fprintf fmt "(%g" bias;
-      Array.iter (fun (i, a) -> Format.fprintf fmt "%+g*x%d" a i) coefs;
-      Format.fprintf fmt ")"
-  | Hinge e' -> Format.fprintf fmt "pos(%a)^2" pp e'
 
 and pp_seq fmt sep es =
   Format.fprintf fmt "(";

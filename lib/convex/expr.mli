@@ -24,8 +24,6 @@ type view =
   | V_sum of t array
   | V_max of t array
   | V_scale of float * t
-  | V_affine of { bias : float; coefs : (int * float) array }
-  | V_hinge of t
       (** One-level structural view of a node, for compilers over the
           DAG (see {!Tape}).  The arrays are the node's own storage —
           treat them as read-only. *)
@@ -54,29 +52,6 @@ val scale : float -> t -> t
 (** Multiply by a non-negative constant. *)
 
 val add : t -> t -> t
-
-val affine : bias:float -> coefs:(int * float) list -> t
-(** [affine ~bias ~coefs] is [bias + Σ (i,a) ∈ coefs. a·xᵢ] — an affine
-    form over the {e log-space} variables, with any-sign bias and
-    coefficients (unlike posynomial terms).  Affine forms are convex
-    (and concave), so they compose freely with [sum]/[max_]/[scale].
-    Duplicate variable indices are summed; zero coefficients dropped.
-
-    Together with {!hinge} this extends the posynomial grammar to the
-    penalty objectives of the consensus-ADMM decomposition ({!Admm}):
-    consensus copies, pinned parameter variables and augmented-
-    Lagrangian hinge terms all live in affine/hinge land. *)
-
-val hinge : t -> t
-(** [hinge e] is [(max(e, 0))²] — the positive-part square.  Since
-    [u ↦ (max(u,0))²] is convex {e and nondecreasing}, [hinge e] is
-    convex for {e any} convex [e]: no sign condition on [e] is needed.
-    It is C¹ everywhere (gradient [2·(e)₊·∇e]), so the solver needs no
-    smoothing for the hinge itself.  Constant children fold. *)
-
-val sq_affine : bias:float -> coefs:(int * float) list -> t
-(** [(bias + Σ a·xᵢ)²] as [hinge e + hinge (−e)] — the full square of
-    an affine form (two-sided penalty), still convex. *)
 
 val num_nodes : t -> int
 (** Number of distinct DAG nodes reachable from the root. *)

@@ -16,10 +16,8 @@ type options = {
   armijo_c : float;
   armijo_shrink : float;
   second_order : bool;
-  fista_burst : int;
   newton_max_iters : int;
   cg_max_iters : int;
-  accept_warm_start : bool;
   precondition : bool;
   domains : int;
 }
@@ -48,10 +46,8 @@ let default_options =
     armijo_c = 1e-4;
     armijo_shrink = 0.5;
     second_order = true;
-    fista_burst = 0;
     newton_max_iters = 20;
     cg_max_iters = 8;
-    accept_warm_start = false;
     precondition = true;
     domains = default_domains;
   }
@@ -216,8 +212,8 @@ type second_order = {
 }
 
 (* One stage of projected (two-metric) Newton-CG at a fixed smoothing
-   temperature, taking over from the FISTA burst once first-order
-   progress stalls.  Each outer iteration computes the gradient,
+   temperature, the stage every tape-engine solve runs in place of
+   FISTA.  Each outer iteration computes the gradient,
    freezes the active box faces (bound reached, gradient pushing
    outward), solves [H d = -g] on the free variables by
    Jacobi-preconditioned conjugate gradients driven by masked tape
@@ -517,7 +513,6 @@ let solve ?(options = default_options) ?(engine = Tape) ?(obs = Obs.null) ?x0
   (* Newton-CG buffers (step, residual, CG direction, H·p,
      preconditioned residual, preconditioner diagonal, active-set
      mask) — allocated once per solve, reused across stages. *)
-  let use_newton = options.second_order && so <> None in
   let d = Vec.create n 0.0 in
   let r = Vec.create n 0.0 in
   let p = Vec.create n 0.0 in
@@ -565,59 +560,61 @@ let solve ?(options = default_options) ?(engine = Tape) ?(obs = Obs.null) ?x0
     end
   in
   let run_stage mu =
-    (* With the second-order engine available, every stage runs a
-       short FISTA burst to enter the Newton basin, then hands over to
-       Newton-CG — including the exact (mu = 0) polish, where the
-       masked HVP is the generalised Hessian of the active piece: a
-       projected-Newton step along it is what pushes the last ~1e-3 of
-       a stalled anneal out (first-order steps zig-zag on the kinks of
-       the max and stall above the optimum). *)
-    let fista_opts =
-      if use_newton then
-        { options with max_iters = Int.min options.fista_burst options.max_iters }
-      else options
-    in
-    let iters, ok, backtracks =
-      stage ~opts:fista_opts ~mu ~f ~fg ~lo ~hi ~x ~y ~g ~cand
-    in
-    total_iters := !total_iters + iters;
-    let ok =
-      if use_newton && not ok then begin
-        let so = Option.get so in
-        (* Intermediate smoothed stages only guide the anneal — the
-           next stage re-solves at a tighter temperature anyway — so
-           they stop on a loose tolerance; only the tightest smoothed
-           stage and the exact polish run to full [options.tol].  The
-           loose stages are also the expensive ones: at large mu the
-           smoothed-max curvature couples almost the whole tape into
-           the masked HVPs. *)
-        let tol =
-          if mu > mu_final *. 1.000001 then Float.max options.tol 1e-4
-          else options.tol
-        in
-        let outer, cg_iters, hvps, hit =
-          newton_stage ~opts:options ~tol ~mu ~f ~fg ~so ~lo ~hi ~x ~g ~cand
-            ~d ~r ~p ~hp ~z ~mdiag ~free
-        in
-        total_iters := !total_iters + outer;
-        total_hvps := !total_hvps + hvps;
-        total_cg := !total_cg + cg_iters;
-        if Obs.enabled obs then begin
-          Obs.counter obs "solver.hvp"
-            [
-              ("stage", float_of_int !stages_done);
-              ("hvps", float_of_int hvps);
-            ];
-          Obs.counter obs "solver.cg_iters"
-            [
-              ("stage", float_of_int !stages_done);
-              ("newton_iters", float_of_int outer);
-              ("cg_iters", float_of_int cg_iters);
-            ]
-        end;
-        hit
-      end
-      else ok
+    (* With the second-order engine available, every stage is a
+       projected Newton-CG stage from the box projection of [x] —
+       including the exact (mu = 0) polish, where the masked HVP is the
+       generalised Hessian of the active piece: a projected-Newton step
+       along it is what pushes the last ~1e-3 of a stalled anneal out
+       (first-order steps zig-zag on the kinks of the max and stall
+       above the optimum).  Without it ([second_order = false] or the
+       [Reference] engine) the stage is a full FISTA stage.  Either way
+       the stage emits one ["solver.stage"] counter; a Newton stage
+       reports zero first-order iterations and backtracks, its outer
+       iterations going to ["solver.cg_iters"]. *)
+    let ok, iters, backtracks =
+      match so with
+      | Some so when options.second_order ->
+          for i = 0 to n - 1 do
+            x.(i) <- clamp1 lo.(i) hi.(i) x.(i)
+          done;
+          (* Intermediate smoothed stages only guide the anneal — the
+             next stage re-solves at a tighter temperature anyway — so
+             they stop on a loose tolerance; only the tightest smoothed
+             stage and the exact polish run to full [options.tol].  The
+             loose stages are also the expensive ones: at large mu the
+             smoothed-max curvature couples almost the whole tape into
+             the masked HVPs. *)
+          let tol =
+            if mu > mu_final *. 1.000001 then Float.max options.tol 1e-4
+            else options.tol
+          in
+          let outer, cg_iters, hvps, hit =
+            newton_stage ~opts:options ~tol ~mu ~f ~fg ~so ~lo ~hi ~x ~g ~cand
+              ~d ~r ~p ~hp ~z ~mdiag ~free
+          in
+          total_iters := !total_iters + outer;
+          total_hvps := !total_hvps + hvps;
+          total_cg := !total_cg + cg_iters;
+          if Obs.enabled obs then begin
+            Obs.counter obs "solver.hvp"
+              [
+                ("stage", float_of_int !stages_done);
+                ("hvps", float_of_int hvps);
+              ];
+            Obs.counter obs "solver.cg_iters"
+              [
+                ("stage", float_of_int !stages_done);
+                ("newton_iters", float_of_int outer);
+                ("cg_iters", float_of_int cg_iters);
+              ]
+          end;
+          (hit, 0, 0)
+      | _ ->
+          let iters, ok, backtracks =
+            stage ~opts:options ~mu ~f ~fg ~lo ~hi ~x ~y ~g ~cand
+          in
+          total_iters := !total_iters + iters;
+          (ok, iters, backtracks)
     in
     incr stages_done;
     report ~mu ~iters ~backtracks;
@@ -636,32 +633,28 @@ let solve ?(options = default_options) ?(engine = Tape) ?(obs = Obs.null) ?x0
      stage still solves to full tolerance — the anneal only exists to
      guide a cold start. *)
   let mu = ref mu_init in
-  let accepted = ref false in
   (match x0 with
   | Some _ when mu_init > mu_final ->
-      (* Achievable Armijo-backtracked decrease of the mu-smoothed
+      (* Achievable Armijo-backtracked decrease of the mu_final-smoothed
          objective from [x]: the same sufficient-decrease test the
          stages themselves run, so "no achievable decrease" means [x]
          already satisfies the stage stopping criterion. *)
-      let probe_decrease mu =
-        let fx = fg ~mu x in
-        let rec probe alpha tries =
-          if tries = 0 then 0.0
-          else begin
-            let gd = ref 0.0 in
-            for i = 0 to n - 1 do
-              let ci = clamp1 lo.(i) hi.(i) (x.(i) -. (alpha *. g.(i))) in
-              cand.(i) <- ci;
-              gd := !gd +. (g.(i) *. (ci -. x.(i)))
-            done;
-            let fc = f ~mu cand in
-            if fc <= fx +. (options.armijo_c *. !gd) && !gd < 0.0 then fx -. fc
-            else probe (alpha *. options.armijo_shrink) (tries - 1)
-          end
-        in
-        (fx, probe options.step_init 30)
+      let fx = fg ~mu:mu_final x in
+      let rec probe alpha tries =
+        if tries = 0 then 0.0
+        else begin
+          let gd = ref 0.0 in
+          for i = 0 to n - 1 do
+            let ci = clamp1 lo.(i) hi.(i) (x.(i) -. (alpha *. g.(i))) in
+            cand.(i) <- ci;
+            gd := !gd +. (g.(i) *. (ci -. x.(i)))
+          done;
+          let fc = f ~mu:mu_final cand in
+          if fc <= fx +. (options.armijo_c *. !gd) && !gd < 0.0 then fx -. fc
+          else probe (alpha *. options.armijo_shrink) (tries - 1)
+        end
       in
-      let below_tol fx d = d <= options.tol *. (1.0 +. Float.abs fx) in
+      let decrease = probe options.step_init 30 in
       (* Skip only when the probe cannot decrease the objective by more
          than the stages' own relative stall tolerance — i.e. [x0]
          already satisfies the stopping criterion the skipped stages
@@ -670,81 +663,67 @@ let solve ?(options = default_options) ?(engine = Tape) ?(obs = Obs.null) ?x0
          starts carried over from a perturbed problem (~1e-5..1e-4,
          anneal), where the carried-over point sits on kinks of the max
          and needs the anneal to recover full accuracy. *)
-      let fx, decrease = probe_decrease mu_final in
-      let skip = below_tol fx decrease in
+      let skip = decrease <= options.tol *. (1.0 +. Float.abs fx) in
       if skip then mu := mu_final;
-      (* Warm-start acceptance (opt-in): when no Armijo step improves
-         the smoothed objective *and* none improves the exact one, [x0]
-         meets the stopping criterion of every stage the solve would
-         run — return it outright.  This is what makes answering an
-         exact-duplicate plan request O(probe) instead of O(solve). *)
-      if skip && options.accept_warm_start then begin
-        let fx0, d0 = probe_decrease 0.0 in
-        if below_tol fx0 d0 then accepted := true
-      end;
       if Obs.enabled obs then
         Obs.counter obs "solver.warm_start"
           [
             ("provided", 1.0);
             ("skipped_to_mu_final", if skip then 1.0 else 0.0);
-            ("accepted", if !accepted then 1.0 else 0.0);
             ("probe_decrease", decrease);
           ]
   | _ -> ());
   let ok =
-    if !accepted then true
-    else begin
-      let continue = ref true in
-      while !continue do
-        ignore (run_stage !mu);
-        (* The relative slack absorbs decay rounding: with decay 0.01,
-           1e-4 ·. 0.01 lands a hair above 1e-6 in floats, and an exact
-           [<=] would run a whole duplicate stage at ~mu_final. *)
-        if !mu <= mu_final *. 1.000001 then continue := false
-        else mu := Float.max (!mu *. options.mu_decay) mu_final
-      done;
-      (* Finish with one exact (subgradient) polishing stage;
-         convergence is judged on this final stage (intermediate
-         smoothed stages need not reach full tolerance to anneal
-         onward). *)
-      let ok = ref (run_stage 0.0) in
-      (* Kink-valley escape: the exact polish can park on a kink where
-         every mu = 0 subgradient direction ascends, yet the
-         mu_final-smoothed gradient — which averages the branches and
-         so points along the valley floor — still finds O(1e-4..1e-3)
-         of descent.  Probe for that, and when present re-descend the
-         tightest smoothed stage and re-polish, keeping the best exact
-         point (two passes bound the cost; in practice one suffices). *)
-      let strict_descent mu =
-        let fx = fg ~mu x in
-        let rec probe alpha tries =
-          if tries = 0 then 0.0
-          else begin
-            for i = 0 to n - 1 do
-              cand.(i) <- clamp1 lo.(i) hi.(i) (x.(i) -. (alpha *. g.(i)))
-            done;
-            let fc = f ~mu cand in
-            if fc < fx then fx -. fc else probe (alpha /. 2.0) (tries - 1)
-          end
-        in
-        (fx, probe 1.0 30)
+    let continue = ref true in
+    while !continue do
+      ignore (run_stage !mu);
+      (* The relative slack absorbs decay rounding: with decay 0.01,
+         1e-4 ·. 0.01 lands a hair above 1e-6 in floats, and an exact
+         [<=] would run a whole duplicate stage at ~mu_final. *)
+      if !mu <= mu_final *. 1.000001 then continue := false
+      else mu := Float.max (!mu *. options.mu_decay) mu_final
+    done;
+    (* Finish with one exact (subgradient) polishing stage;
+       convergence is judged on this final stage (intermediate
+       smoothed stages need not reach full tolerance to anneal
+       onward). *)
+    let ok = ref (run_stage 0.0) in
+    (* Kink-valley escape: the exact polish can park on a kink where
+       every mu = 0 subgradient direction ascends, yet the
+       mu_final-smoothed gradient — which averages the branches and
+       so points along the valley floor — still finds O(1e-4..1e-3)
+       of descent.  Probe for that, and when present re-descend the
+       tightest smoothed stage and re-polish, keeping the best exact
+       point (two passes bound the cost; in practice one suffices). *)
+    let strict_descent mu =
+      let fx = fg ~mu x in
+      let rec probe alpha tries =
+        if tries = 0 then 0.0
+        else begin
+          for i = 0 to n - 1 do
+            cand.(i) <- clamp1 lo.(i) hi.(i) (x.(i) -. (alpha *. g.(i)))
+          done;
+          let fc = f ~mu cand in
+          if fc < fx then fx -. fc else probe (alpha /. 2.0) (tries - 1)
+        end
       in
-      (try
-         for _ = 1 to 2 do
-           let fx, d = strict_descent mu_final in
-           if d <= options.tol *. (1.0 +. Float.abs fx) then raise Exit;
-           let best_x = Array.copy x in
-           let best_v = f ~mu:0.0 x in
-           ignore (run_stage mu_final);
-           ok := run_stage 0.0;
-           if f ~mu:0.0 x >= best_v then begin
-             Array.blit best_x 0 x 0 n;
-             raise Exit
-           end
-         done
-       with Exit -> ());
-      !ok
-    end
+      (fx, probe 1.0 30)
+    in
+    (try
+       for _ = 1 to 2 do
+         let fx, d = strict_descent mu_final in
+         if d <= options.tol *. (1.0 +. Float.abs fx) then raise Exit;
+         let best_x = Array.copy x in
+         let best_v = f ~mu:0.0 x in
+         ignore (run_stage mu_final);
+         ok := run_stage 0.0;
+         if f ~mu:0.0 x >= best_v then begin
+           Array.blit best_x 0 x 0 n;
+           raise Exit
+         end
+       done
+     with Exit -> ());
+    !ok
   in
   let value = f ~mu:0.0 x in
   let value =

@@ -18,9 +18,9 @@
     cross-checking.
 
     On the tape engine each stage — including the exact (mu = 0)
-    polish — is finished by a projected Newton-CG refinement
-    ({!options.second_order}, on by default): after a short FISTA
-    burst, Jacobi-preconditioned conjugate gradients over masked tape
+    polish — is a projected Newton-CG stage instead
+    ({!options.second_order}, on by default):
+    Jacobi-preconditioned conjugate gradients over masked tape
     Hessian-vector products ({!Tape.hvp_masked}, swept over the
     instructions live under the current free set only) solve the
     Newton system on the free (non-bound) variables, cutting the
@@ -37,8 +37,9 @@
     Armijo-probed gradient step at the tightest smoothing temperature
     can no longer decrease the objective appreciably — i.e. the point
     is already near-optimal, as a previous optimum from a nearby
-    problem in a parameter sweep typically is — the anneal is skipped
-    entirely, which makes such re-solves several times cheaper. *)
+    problem in a parameter sweep typically is — the anneal down to that
+    temperature is skipped, which makes such re-solves several times
+    cheaper. *)
 
 type problem = {
   objective : Expr.t;
@@ -47,7 +48,8 @@ type problem = {
 }
 
 type options = {
-  max_iters : int;        (** per smoothing stage *)
+  max_iters : int;        (** FISTA iterations per smoothing stage
+                              (first-order stages only) *)
   tol : float;            (** stop when the projected-gradient step
                               moves x by less than [tol] in inf-norm *)
   mu_init : float;        (** initial smoothing temperature, as a
@@ -57,26 +59,12 @@ type options = {
   step_init : float;      (** initial trial step for line search *)
   armijo_c : float;       (** sufficient-decrease constant *)
   armijo_shrink : float;  (** backtracking factor, in (0,1) *)
-  second_order : bool;    (** finish smoothed stages with projected
-                              Newton-CG over tape Hessian-vector
-                              products (tape engines only) *)
-  fista_burst : int;      (** FISTA iterations per smoothed stage before
-                              handing over to Newton-CG *)
+  second_order : bool;    (** run every stage as projected Newton-CG
+                              over tape Hessian-vector products
+                              instead of FISTA (tape engines only) *)
   newton_max_iters : int; (** outer Newton iterations per stage *)
   cg_max_iters : int;     (** CG iterations per Newton system (also
                               capped at the variable count) *)
-  accept_warm_start : bool;
-      (** when a supplied [x0] passes the warm-start probe at the
-          tightest smoothing temperature {e and} an identical probe of
-          the exact (unsmoothed) objective — i.e. no Armijo-backtracked
-          projected-gradient step achieves more than the stall
-          tolerance, the criterion every stage itself stops on — return
-          [x0] immediately with zero iterations.  Off by default.  The
-          probes are directional certificates only: at kinks of the
-          exact max objective they can accept a point ~1e-5 above the
-          optimum, so callers needing tighter guarantees (the plan
-          cache among them) should reuse stored results for exact
-          duplicates instead. *)
   precondition : bool;
       (** Jacobi-precondition the Newton-CG inner solves with the
           tape's Gauss–Newton Hessian diagonal ({!Tape.hess_diag},
@@ -161,13 +149,20 @@ val solve :
     With a live [obs] sink (default {!Obs.null}: no overhead) the
     solve is wrapped in a ["solver.solve"] span and every smoothing
     stage emits a ["solver.stage"] counter sampling the smoothing
-    temperature [mu], gradient [iterations], Armijo [backtracks], the
-    exact (unsmoothed) [objective] reached and its [decrease] from the
-    previous stage.  Stages refined by Newton-CG additionally emit
-    ["solver.hvp"] (Hessian-vector products) and ["solver.cg_iters"]
-    (outer Newton and inner CG iterations); a warm-started solve emits
-    one ["solver.warm_start"] counter recording the probed gradient-step
-    decrease at [x0] and whether the anneal was skipped. *)
+    temperature [mu], first-order (FISTA) [iterations], Armijo
+    [backtracks], the exact (unsmoothed) [objective] reached and its
+    [decrease] from the previous stage.  Newton-CG stages report zero
+    first-order iterations there and additionally emit ["solver.hvp"]
+    (Hessian-vector products) and ["solver.cg_iters"] (outer Newton and
+    inner CG iterations), so over one solve the [solver.stage]
+    iterations plus the [newton_iters] sum to {!result.iterations}, the
+    [hvps] to [hvp_evals] and the [cg_iters] to [cg_iterations].  A
+    warm-started solve emits one ["solver.warm_start"] counter recording
+    the probed gradient-step decrease at [x0] and whether the anneal
+    was skipped; even a skipped anneal still runs the tightest smoothed
+    stage and the exact polish to full tolerance.  (An exact duplicate
+    of an earlier plan request never reaches the solver at all: the
+    plan cache answers it with the stored result.) *)
 
 val golden_section :
   ?tol:float -> f:(float -> float) -> lo:float -> hi:float -> unit -> float

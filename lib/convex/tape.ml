@@ -7,9 +7,6 @@ module Vec = Numeric.Vec
      op_sum   : constant bias c.(k), child segment [lo.(k), hi.(k)) of child
      op_max   : child segment [lo.(k), hi.(k)) of child
      op_scale : factor c.(k), single child slot lo.(k)
-     op_affine: bias c.(k), coefficient segment [lo.(k), hi.(k)) of
-                term_var/term_expt — value bias + Σ aᵢ·xᵢ (any-sign)
-     op_hinge : single child slot lo.(k) — value (max(child, 0))²
    Slots are in topological (children-first) order; the root is [root]. *)
 let op_const = 0
 
@@ -20,10 +17,6 @@ let op_sum = 2
 let op_max = 3
 
 let op_scale = 4
-
-let op_affine = 5
-
-let op_hinge = 6
 
 (* Level schedule and transpose of the instruction array, built once
    per tape on first use (parallel sweeps and masked HVPs share it).
@@ -190,8 +183,8 @@ let compile root_expr =
         count_uses e'
       in
       match Expr.view e with
-      | Expr.V_const _ | Expr.V_term _ | Expr.V_affine _ -> ()
-      | Expr.V_scale (_, e') | Expr.V_hinge e' -> bump e'
+      | Expr.V_const _ | Expr.V_term _ -> ()
+      | Expr.V_scale (_, e') -> bump e'
       | Expr.V_sum es | Expr.V_max es -> Array.iter bump es
     end
   in
@@ -224,14 +217,6 @@ let compile root_expr =
               (* Never foldable: the log-sum-exp smoothing makes even a
                  max of constants depend on the evaluation-time [mu]. *)
               None
-          | Expr.V_affine { bias; coefs } ->
-              if Array.length coefs = 0 then Some bias else None
-          | Expr.V_hinge e' ->
-              Option.map
-                (fun u ->
-                  let up = Float.max u 0.0 in
-                  up *. up)
-                (const_val e')
         in
         let i = Memo.idx memo (Expr.id e) in
         (match r with
@@ -322,18 +307,6 @@ let compile root_expr =
     done;
     push_slot op_term l !tlen coeff
   in
-  (* Affine slots reuse the term segment arrays (variable, coefficient)
-     with the bias where a term keeps its coefficient; the gradient
-     transpose below then covers affine entries for free. *)
-  let push_affine bias coefs =
-    let l = !tlen in
-    for j = Array.length coefs - 1 downto 0 do
-      let i, a = coefs.(j) in
-      if i > !max_var then max_var := i;
-      push_entry i a
-    done;
-    push_slot op_affine l !tlen bias
-  in
   let push_max f kids =
     let l = !clen in
     Array.iter push_child kids;
@@ -412,11 +385,7 @@ let compile root_expr =
                 (* Constant branches stay as slots so the subgradient
                    tie-break (first maximising branch, in order) and
                    the softmax weighting match {!Expr} exactly. *)
-                push_max 1.0 (Array.map emit es)
-            | Expr.V_affine { bias; coefs } -> push_affine bias coefs
-            | Expr.V_hinge e' ->
-                let s = emit e' in
-                push_slot op_hinge s 0 1.0)
+                push_max 1.0 (Array.map emit es))
       in
       let i = Memo.idx memo (Expr.id e) in
       memo.Memo.slot.(i) <- slot;
@@ -546,16 +515,6 @@ let forward ~mu ~weights t ws x =
       v.%(k) <- ca.%(k) *. v.%(k)
     end
     else if o = op_scale then v.%(k) <- ca.%(k) *. v.%(loa.%(k))
-    else if o = op_affine then begin
-      v.%(k) <- ca.%(k);
-      for j = loa.%(k) to hia.%(k) - 1 do
-        v.%(k) <- v.%(k) +. (te.%(j) *. x.%(tv.%(j)))
-      done
-    end
-    else if o = op_hinge then begin
-      let up = Float.max v.%(loa.%(k)) 0.0 in
-      v.%(k) <- up *. up
-    end
     else (* op_const *) v.%(k) <- ca.%(k)
   done;
   v.(t.root)
@@ -653,21 +612,6 @@ let forward_tangent ~mu t ws x dx =
       v.%(k) <- ca.%(k) *. v.%(loa.%(k));
       vd.%(k) <- ca.%(k) *. vd.%(loa.%(k))
     end
-    else if o = op_affine then begin
-      v.%(k) <- ca.%(k);
-      vd.%(k) <- 0.0;
-      for j = loa.%(k) to hia.%(k) - 1 do
-        v.%(k) <- v.%(k) +. (te.%(j) *. x.%(tv.%(j)));
-        vd.%(k) <- vd.%(k) +. (te.%(j) *. dx.%(tv.%(j)))
-      done
-    end
-    else if o = op_hinge then begin
-      let cj = loa.%(k) in
-      let up = Float.max v.%(cj) 0.0 in
-      v.%(k) <- up *. up;
-      (* d((u)₊²) = 2(u)₊·du, C¹ across the kink. *)
-      vd.%(k) <- 2.0 *. up *. vd.%(cj)
-    end
     else begin
       (* op_const *)
       v.%(k) <- ca.%(k);
@@ -709,14 +653,6 @@ let eval_hvp ?(mu = 0.0) t ws ~x ~dx ~grad ~hvp =
           (* d(a·e·v) = e·(da·v + a·dv) *)
           hvp.%(i) <- hvp.%(i) +. (e *. ((ad *. v.%(k)) +. (a *. vd.%(k))))
         done
-      else if o = op_affine then
-        (* Constant gradient row: only the adjoint tangent curves. *)
-        for j = loa.%(k) to hia.%(k) - 1 do
-          let i = tv.%(j) in
-          let e = te.%(j) in
-          grad.%(i) <- grad.%(i) +. (a *. e);
-          hvp.%(i) <- hvp.%(i) +. (ad *. e)
-        done
       else if o = op_sum then
         for j = loa.%(k) to hia.%(k) - 1 do
           let cj = ch.%(j) in
@@ -752,17 +688,6 @@ let eval_hvp ?(mu = 0.0) t ws ~x ~dx ~grad ~hvp =
         adj.%(cj) <- adj.%(cj) +. (a *. ca.%(k));
         adjd.%(cj) <- adjd.%(cj) +. (ad *. ca.%(k))
       end
-      else if o = op_hinge then begin
-        (* adj factor 2(u)₊ depends on the child value, so the adjoint
-           tangent picks up a·2·𝟙[u>0]·du on top of the chained ad. *)
-        let cj = loa.%(k) in
-        let u = v.%(cj) in
-        let up = Float.max u 0.0 in
-        adj.%(cj) <- adj.%(cj) +. (a *. 2.0 *. up);
-        adjd.%(cj) <-
-          adjd.%(cj) +. (ad *. 2.0 *. up)
-          +. (if u > 0.0 then a *. 2.0 *. vd.%(cj) else 0.0)
-      end
       (* op_const: adjoint discarded *)
     end
   done;
@@ -788,11 +713,6 @@ let eval_grad ?(mu = 0.0) t ws ~x ~grad =
         for j = loa.%(k) to hia.%(k) - 1 do
           let i = tv.%(j) in
           grad.%(i) <- grad.%(i) +. (a *. te.%(j) *. v.%(k))
-        done
-      else if o = op_affine then
-        for j = loa.%(k) to hia.%(k) - 1 do
-          let i = tv.%(j) in
-          grad.%(i) <- grad.%(i) +. (a *. te.%(j))
         done
       else if o = op_sum then
         for j = loa.%(k) to hia.%(k) - 1 do
@@ -820,11 +740,6 @@ let eval_grad ?(mu = 0.0) t ws ~x ~grad =
       else if o = op_scale then begin
         let cj = loa.%(k) in
         adj.%(cj) <- adj.%(cj) +. (a *. ca.%(k))
-      end
-      else if o = op_hinge then begin
-        let cj = loa.%(k) in
-        let up = Float.max v.%(cj) 0.0 in
-        adj.%(cj) <- adj.%(cj) +. (a *. 2.0 *. up)
       end
       (* op_const: adjoint discarded *)
     end
@@ -855,7 +770,7 @@ let build_plan t =
         done;
         !m + 1
       end
-      else if o = op_scale || o = op_hinge then level.(t.lo.(k)) + 1
+      else if o = op_scale then level.(t.lo.(k)) + 1
       else 0
     in
     level.(k) <- l;
@@ -890,7 +805,7 @@ let build_plan t =
         let ch = t.child.(j) in
         pin_off.(ch + 1) <- pin_off.(ch + 1) + 1
       done
-    else if o = op_scale || o = op_hinge then begin
+    else if o = op_scale then begin
       let ch = t.lo.(k) in
       pin_off.(ch + 1) <- pin_off.(ch + 1) + 1
     end
@@ -911,7 +826,7 @@ let build_plan t =
         par_edge.(cur.(ch)) <- j;
         cur.(ch) <- cur.(ch) + 1
       done
-    else if o = op_scale || o = op_hinge then begin
+    else if o = op_scale then begin
       let ch = t.lo.(k) in
       par_slot.(cur.(ch)) <- k;
       par_edge.(cur.(ch)) <- -1;
@@ -931,7 +846,7 @@ let build_plan t =
   let vterm_entry = Array.make (Int.max 1 nt) 0 in
   let curv = Array.sub vin_off 0 (Int.max 1 nv) in
   for k = n - 1 downto 0 do
-    if t.op.(k) = op_term || t.op.(k) = op_affine then
+    if t.op.(k) = op_term then
       for j = t.lo.(k) to t.hi.(k) - 1 do
         let i = t.term_var.(j) in
         vterm_slot.(curv.(i)) <- k;
@@ -1071,17 +986,6 @@ let forward_slot ~mu ~weights t ws x k =
     else v.(k) <- t.c.(k) *. !m
   end
   else if o = op_scale then v.(k) <- t.c.(k) *. v.(t.lo.(k))
-  else if o = op_affine then begin
-    let acc = ref t.c.(k) in
-    for j = t.lo.(k) to t.hi.(k) - 1 do
-      acc := !acc +. (t.term_expt.(j) *. x.(t.term_var.(j)))
-    done;
-    v.(k) <- !acc
-  end
-  else if o = op_hinge then begin
-    let up = Float.max v.(t.lo.(k)) 0.0 in
-    v.(k) <- up *. up
-  end
   else v.(k) <- t.c.(k)
 
 (* Per-slot tangent forward step, mirroring {!forward_tangent}. *)
@@ -1142,21 +1046,6 @@ let forward_tangent_slot ~mu t ws x dx k =
     v.(k) <- t.c.(k) *. v.(t.lo.(k));
     vd.(k) <- t.c.(k) *. vd.(t.lo.(k))
   end
-  else if o = op_affine then begin
-    let acc = ref t.c.(k) and accd = ref 0.0 in
-    for j = t.lo.(k) to t.hi.(k) - 1 do
-      acc := !acc +. (t.term_expt.(j) *. x.(t.term_var.(j)));
-      accd := !accd +. (t.term_expt.(j) *. dx.(t.term_var.(j)))
-    done;
-    v.(k) <- !acc;
-    vd.(k) <- !accd
-  end
-  else if o = op_hinge then begin
-    let cj = t.lo.(k) in
-    let up = Float.max v.(cj) 0.0 in
-    v.(k) <- up *. up;
-    vd.(k) <- 2.0 *. up *. vd.(cj)
-  end
   else begin
     v.(k) <- t.c.(k);
     vd.(k) <- 0.0
@@ -1180,13 +1069,7 @@ let adj_gather ~mu t plan ws k =
         else if plan.par_edge.(idx) = rev_sel t ws p then
           acc := !acc +. (a *. t.c.(p))
       end
-      else if o = op_scale then acc := !acc +. (a *. t.c.(p))
-      else begin
-        (* op_hinge: the adjoint factor 2(u)₊ reads the child's value —
-           which is this very slot's v.(k). *)
-        let up = Float.max v.(k) 0.0 in
-        acc := !acc +. (a *. 2.0 *. up)
-      end
+      else (* op_scale *) acc := !acc +. (a *. t.c.(p))
     end
   done;
   adj.(k) <- !acc
@@ -1194,7 +1077,7 @@ let adj_gather ~mu t plan ws k =
 (* Joint adjoint/adjoint-tangent gather, mirroring {!eval_hvp}. *)
 let adjd_gather ~mu t plan ws k =
   let v = ws.v and adj = ws.adj and w = ws.w in
-  let vd = ws.vd and adjd = ws.adjd and wd = ws.wd in
+  let adjd = ws.adjd and wd = ws.wd in
   let acc = ref (if k = t.root then 1.0 else 0.0) in
   let accd = ref 0.0 in
   for idx = plan.pin_off.(k) to plan.pin_off.(k + 1) - 1 do
@@ -1220,18 +1103,10 @@ let adjd_gather ~mu t plan ws k =
           accd := !accd +. adc
         end
       end
-      else if o = op_scale then begin
+      else begin
+        (* op_scale *)
         acc := !acc +. (a *. t.c.(p));
         accd := !accd +. (ad *. t.c.(p))
-      end
-      else begin
-        (* op_hinge: child value/tangent are this slot's own cells. *)
-        let u = v.(k) in
-        let up = Float.max u 0.0 in
-        acc := !acc +. (a *. 2.0 *. up);
-        accd :=
-          !accd +. (ad *. 2.0 *. up)
-          +. (if u > 0.0 then a *. 2.0 *. vd.(k) else 0.0)
       end
     end
   done;
@@ -1291,13 +1166,8 @@ let eval_grad_pool ?(mu = 0.0) t pool ws ~x ~grad =
                 let k = plan.vterm_slot.(idx) in
                 let a = adj.(k) in
                 if a <> 0.0 then
-                  if t.op.(k) = op_term then
-                    acc :=
-                      !acc
-                      +. (a *. t.term_expt.(plan.vterm_entry.(idx)) *. v.(k))
-                  else
-                    (* op_affine: constant gradient row *)
-                    acc := !acc +. (a *. t.term_expt.(plan.vterm_entry.(idx)))
+                  acc :=
+                    !acc +. (a *. t.term_expt.(plan.vterm_entry.(idx)) *. v.(k))
               done;
               grad.(i) <- !acc
             done));
@@ -1345,15 +1215,8 @@ let eval_hvp_pool ?(mu = 0.0) t pool ws ~x ~dx ~grad ~hvp =
                 let ad = adjd.(k) in
                 if a <> 0.0 || ad <> 0.0 then begin
                   let e = t.term_expt.(plan.vterm_entry.(idx)) in
-                  if t.op.(k) = op_term then begin
-                    gacc := !gacc +. (a *. e *. v.(k));
-                    hacc := !hacc +. (e *. ((ad *. v.(k)) +. (a *. vd.(k))))
-                  end
-                  else begin
-                    (* op_affine *)
-                    gacc := !gacc +. (a *. e);
-                    hacc := !hacc +. (ad *. e)
-                  end
+                  gacc := !gacc +. (a *. e *. v.(k));
+                  hacc := !hacc +. (e *. ((ad *. v.(k)) +. (a *. vd.(k))))
                 end
               done;
               grad.(i) <- !gacc;
@@ -1409,7 +1272,7 @@ let hvp_mask ?(mu = 0.0) t ws ~free =
   for k = 0 to n - 1 do
     let o = t.op.(k) in
     let act =
-      if o = op_term || o = op_affine then begin
+      if o = op_term then begin
         let any = ref false in
         let j = ref t.lo.(k) in
         while (not !any) && !j < t.hi.(k) do
@@ -1427,8 +1290,7 @@ let hvp_mask ?(mu = 0.0) t ws ~free =
         done;
         !any
       end
-      else if o = op_scale || o = op_hinge then
-        flag_has (Bytes.get flags t.lo.(k)) f_active
+      else if o = op_scale then flag_has (Bytes.get flags t.lo.(k)) f_active
       else false
     in
     if act then begin
@@ -1440,21 +1302,17 @@ let hvp_mask ?(mu = 0.0) t ws ~free =
   ws.n_active <- !na;
   (* Downward closure of adjoint-tangent flow: smoothed maxima that
      depend on a free variable inject curvature into ALL their
-     branches (the softmax weights shift together), and hinges inject
-     it into their child at {e any} mu — the adjoint factor 2(u)₊
-     depends on the child's value.  From there the tangent adjoint
-     propagates through children like the adjoint.  At mu <= 0 a max
-     with an incoming adjoint tangent conservatively flags all its
-     branches, keeping the sets point-independent (the masked sweep
-     itself still follows only the selected branch).  Without hinges
-     nothing seeds an adjoint tangent at mu <= 0 and the closure is
+     branches (the softmax weights shift together), and from there the
+     tangent adjoint propagates through children like the adjoint.  At
+     mu <= 0 every max differentiates through one locally constant
+     branch, so nothing seeds an adjoint tangent and the closure is
      empty — the masked HVP is the Hessian of the active piece swept
      over the active slots alone. *)
-  for k = n - 1 downto 0 do
-    let b = Bytes.get flags k in
-    let o = t.op.(k) in
-    if o = op_max then begin
-      if mu > 0.0 then begin
+  if mu > 0.0 then
+    for k = n - 1 downto 0 do
+      let b = Bytes.get flags k in
+      let o = t.op.(k) in
+      if o = op_max then begin
         if
           (flag_has b f_active || flag_has b f_adjt)
           && Float.is_finite ws.v.(k)
@@ -1472,30 +1330,18 @@ let hvp_mask ?(mu = 0.0) t ws ~free =
           end
         end
       end
-      else if flag_has b f_adjt then
-        for j = t.lo.(k) to t.hi.(k) - 1 do
-          let ch = t.child.(j) in
+      else if flag_has b f_adjt then begin
+        if o = op_sum then
+          for j = t.lo.(k) to t.hi.(k) - 1 do
+            let ch = t.child.(j) in
+            Bytes.set flags ch (flag_add (Bytes.get flags ch) f_adjt)
+          done
+        else if o = op_scale then begin
+          let ch = t.lo.(k) in
           Bytes.set flags ch (flag_add (Bytes.get flags ch) f_adjt)
-        done
-    end
-    else if o = op_hinge then begin
-      if flag_has b f_active || flag_has b f_adjt then begin
-        let ch = t.lo.(k) in
-        Bytes.set flags ch (flag_add (Bytes.get flags ch) f_adjt)
+        end
       end
-    end
-    else if flag_has b f_adjt then begin
-      if o = op_sum then
-        for j = t.lo.(k) to t.hi.(k) - 1 do
-          let ch = t.child.(j) in
-          Bytes.set flags ch (flag_add (Bytes.get flags ch) f_adjt)
-        done
-      else if o = op_scale then begin
-        let ch = t.lo.(k) in
-        Bytes.set flags ch (flag_add (Bytes.get flags ch) f_adjt)
-      end
-    end
-  done;
+    done;
   let nu = ref 0 in
   for k = 0 to n - 1 do
     if Bytes.get flags k <> '\000' then begin
@@ -1562,18 +1408,6 @@ let hvp_masked t ws ~x ~dx ~hvp =
           ca.%(k) *. (if sel.%(k) >= 0 then vd.%(ch.%(sel.%(k))) else 0.0)
     end
     else if o = op_scale then vd.%(k) <- ca.%(k) *. vd.%(loa.%(k))
-    else if o = op_affine then begin
-      let accd = ref 0.0 in
-      for j = loa.%(k) to hia.%(k) - 1 do
-        accd := !accd +. (te.%(j) *. dx.%(tv.%(j)))
-      done;
-      vd.%(k) <- !accd
-    end
-    else if o = op_hinge then begin
-      let cj = loa.%(k) in
-      let up = Float.max v.%(cj) 0.0 in
-      vd.%(k) <- 2.0 *. up *. vd.%(cj)
-    end
     else vd.%(k) <- 0.0
   done;
   (* Reverse scatter over the union, descending (the union list is
@@ -1595,11 +1429,6 @@ let hvp_masked t ws ~x ~dx ~hvp =
           let i = tv.%(j) in
           let e = te.%(j) in
           hvp.%(i) <- hvp.%(i) +. (e *. ((ad *. v.%(k)) +. (a *. vd.%(k))))
-        done
-      else if o = op_affine then
-        for j = loa.%(k) to hia.%(k) - 1 do
-          let i = tv.%(j) in
-          hvp.%(i) <- hvp.%(i) +. (ad *. te.%(j))
         done
       else if o = op_sum then
         for j = loa.%(k) to hia.%(k) - 1 do
@@ -1625,14 +1454,6 @@ let hvp_masked t ws ~x ~dx ~hvp =
       else if o = op_scale then begin
         let cj = loa.%(k) in
         adjd.%(cj) <- adjd.%(cj) +. (ad *. ca.%(k))
-      end
-      else if o = op_hinge then begin
-        let cj = loa.%(k) in
-        let u = v.%(cj) in
-        let up = Float.max u 0.0 in
-        adjd.%(cj) <-
-          adjd.%(cj) +. (ad *. 2.0 *. up)
-          +. (if u > 0.0 then a *. 2.0 *. vd.%(cj) else 0.0)
       end
       (* op_const: nothing *)
     end
@@ -1662,8 +1483,7 @@ let hess_diag t ws ~diag =
   let v = ws.v and adj = ws.adj in
   let n = Array.length opa in
   for k = 0 to n - 1 do
-    let o = opa.%(k) in
-    if o = op_term then begin
+    if opa.%(k) = op_term then begin
       let a = adj.%(k) in
       if a <> 0.0 then begin
         let av = a *. v.%(k) in
@@ -1672,35 +1492,6 @@ let hess_diag t ws ~diag =
           let i = tv.%(j) in
           diag.%(i) <- diag.%(i) +. (av *. e *. e)
         done
-      end
-    end
-    else if o = op_hinge then begin
-      (* The Gauss–Newton part of (u)₊² is 2·𝟙[u>0]·∇u∇uᵀ; its diagonal
-         is exact when the child is a term or an affine form (the
-         2(u)₊·∇²u part flows through the child's own adjoint, which the
-         term branch above already counts).  Other children are skipped
-         — an underestimate, like the dropped max coupling. *)
-      let a = adj.%(k) in
-      let cj = t.lo.(k) in
-      if a <> 0.0 && v.%(cj) > 0.0 then begin
-        let oc = opa.%(cj) in
-        if oc = op_affine then begin
-          let a2 = 2.0 *. a in
-          for j = loa.%(cj) to hia.%(cj) - 1 do
-            let e = te.%(j) in
-            let i = tv.%(j) in
-            diag.%(i) <- diag.%(i) +. (a2 *. e *. e)
-          done
-        end
-        else if oc = op_term then begin
-          let a2 = 2.0 *. a in
-          let vc = v.%(cj) in
-          for j = loa.%(cj) to hia.%(cj) - 1 do
-            let g = te.%(j) *. vc in
-            let i = tv.%(j) in
-            diag.%(i) <- diag.%(i) +. (a2 *. g *. g)
-          done
-        end
       end
     end
   done

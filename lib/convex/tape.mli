@@ -22,15 +22,7 @@
     including the subgradient choice at [mu <= 0] (the first
     maximising branch, in construction order) and the log-sum-exp
     smoothing for [mu > 0]; the reference implementations remain in
-    {!Expr} and the test suite cross-checks the two.
-
-    The extended grammar ({!Expr.affine} leaves and {!Expr.hinge}
-    positive-part squares, used by the consensus-ADMM block
-    objectives) compiles to two extra opcodes: affine slots share the
-    term index/coefficient arrays (so the gradient transpose covers
-    them for free), and hinges are unary slots whose [2·(u)₊] adjoint
-    factor also injects adjoint tangents at [mu <= 0] — the masked-HVP
-    closure accounts for that. *)
+    {!Expr} and the test suite cross-checks the two. *)
 
 type t
 (** A compiled objective: immutable, shareable between workspaces. *)
@@ -190,7 +182,6 @@ val mask_union : workspace -> int
 val hess_diag : t -> workspace -> diag:Numeric.Vec.t -> unit
 (** Overwrite [diag] with the Gauss–Newton diagonal of the Hessian at
     the point of the last {!eval_grad} on this workspace: each
-    posynomial term contributes [adj·v·e²] per coordinate, and each
-    active hinge over a term or affine child contributes
-    [2·adj·(∇u)ᵢ²]; the (PSD) smoothed-max curvature is dropped.
+    posynomial term contributes [adj·v·e²] per coordinate; the (PSD)
+    smoothed-max curvature is dropped.
     Basis of the solver's Jacobi preconditioner. *)

@@ -9,7 +9,6 @@ type result = {
   average : float;
   critical_path : float;
   solver : Convex.Solver.result;
-  decomposed : Decompose.stats option;
 }
 
 let check params g ~procs =
@@ -93,7 +92,7 @@ let critical_path_expr params g ~procs =
 let objective params g ~procs =
   E.max_ [ average_expr params g ~procs; critical_path_expr params g ~procs ]
 
-let solve ?options ?(engine = `Tape) ?obs ?x0 ?decompose params g ~procs =
+let solve ?options ?(engine = `Tape) ?obs ?x0 params g ~procs =
   check params g ~procs;
   let n = G.num_nodes g in
   let avg = average_expr params g ~procs in
@@ -120,37 +119,9 @@ let solve ?options ?(engine = `Tape) ?obs ?x0 ?decompose params g ~procs =
     | `Reference ->
         (Convex.Solver.Reference, (fun x -> E.eval obj x), fun () -> [||])
   in
-  (* Decomposed path: consensus ADMM over an MDG partition produces a
-     near-optimal global point.  The consensus point is a *candidate*
-     only, under the plan cache's warm-serving discipline: the cold
-     deterministic solve (bit-identical to the undecomposed path) runs
-     regardless, the consensus point is polished by a seeded solve,
-     and the better exact Φ of the two is kept — the decomposition can
-     improve the plan (the seeded polish often escapes the cold
-     anneal's stall face), never degrade it.  A caller-supplied [x0]
-     (warm start from the plan cache or a sweep sibling) wins over
-     decomposition. *)
-  let consensus =
-    match x0 with
-    | Some _ -> None
-    | None -> (
-        match decompose with
-        | Some dopts when Decompose.active dopts g ->
-            Decompose.consensus ?obs ~options:dopts ~phi:eval_obj params g
-              ~procs
-        | _ -> None)
-  in
-  let solve ?x0 () =
+  let solver =
     Convex.Solver.solve ?options ~engine:solver_engine ?obs ?x0
       { objective = obj; lo; hi }
-  in
-  let solver, decomposed =
-    match consensus with
-    | None -> (solve ?x0 (), None)
-    | Some (xa, st) ->
-        let cold = solve () in
-        let seeded = solve ~x0:xa () in
-        ((if seeded.value < cold.value then seeded else cold), Some st)
   in
   let alloc = Array.map exp solver.x in
   (* The exact (mu = 0) Φ sweep just computed A_p and C_p on its way
@@ -165,7 +136,7 @@ let solve ?options ?(engine = `Tape) ?obs ?x0 ?decompose params g ~procs =
     | [| a; c |] -> (a, c)
     | _ -> (E.eval avg solver.x, E.eval cp solver.x)
   in
-  { alloc; phi; average; critical_path; solver; decomposed }
+  { alloc; phi; average; critical_path; solver }
 
 let evaluate params g ~procs ~alloc =
   check params g ~procs;

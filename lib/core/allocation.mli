@@ -21,9 +21,6 @@ type result = {
   average : float;           (** A_p at the optimum *)
   critical_path : float;     (** C_p at the optimum *)
   solver : Convex.Solver.result;
-  decomposed : Decompose.stats option;
-      (** consensus-ADMM statistics when the decomposed path ran
-          (see {!solve}'s [decompose]); [None] otherwise *)
 }
 
 val objective :
@@ -45,7 +42,6 @@ val solve :
     [ `Tape | `Reference | `Precompiled of Convex.Solver.compiled ] ->
   ?obs:Obs.t ->
   ?x0:Numeric.Vec.t ->
-  ?decompose:Decompose.options ->
   Costmodel.Params.t ->
   Mdg.Graph.t ->
   procs:int ->
@@ -55,17 +51,6 @@ val solve :
     parameter set lacks processing entries for a kernel in the
     graph.  [obs] (default {!Obs.null}) receives the underlying
     solver's convergence telemetry — see {!Convex.Solver.solve}.
-
-    [decompose] (default: off) enables the consensus-ADMM decomposed
-    path ({!Decompose}) subject to its mode/threshold: the MDG is
-    partitioned, per-block subproblems are solved in parallel, and the
-    consensus point is polished by a seeded monolithic solve.  The
-    consensus point is a candidate only: the cold deterministic solve
-    still runs, and the better exact Φ of the two is kept, so the
-    decomposed result is never worse than the monolithic one (and
-    often escapes the cold anneal's stall face).  Ignored when an
-    explicit [x0] is supplied (a warm start already encodes a better
-    seed).
 
     [x0] warm-starts the solver in log-space ([x0.(i) = ln p_i],
     typically [Array.map log previous.alloc]): across parameter or

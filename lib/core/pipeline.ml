@@ -6,7 +6,6 @@ type config = {
   obs : Obs.t;
   cache : Plan_cache.t option;
   require_convergence : bool;
-  decompose : Decompose.options option;
 }
 
 let default_config =
@@ -16,7 +15,6 @@ let default_config =
     obs = Obs.null;
     cache = None;
     require_convergence = false;
-    decompose = None;
   }
 
 let with_solver_options solver_options config = { config with solver_options }
@@ -29,8 +27,6 @@ let with_cache cache config = { config with cache = Some cache }
 
 let with_require_convergence require_convergence config =
   { config with require_convergence }
-
-let with_decompose decompose config = { config with decompose = Some decompose }
 
 type request = {
   params : Costmodel.Params.t;
@@ -131,15 +127,10 @@ let emit_cache_counter obs outcome =
 (* Solve the allocation through the configured cache.  An exact
    (graph, constants, procs) duplicate is answered with the cached
    result outright — the solver is deterministic, so re-solving the
-   identical problem could only reproduce it, and even the warm-accept
-   probe costs dozens of tape evaluations.  Otherwise reuse the
-   compiled tape for the key and seed the solver with the latest
-   same-shape optimum — the warm-start probe then skips the smoothing
-   anneal, but the final stages still run to full tolerance: the
-   probe's directional no-decrease certificate is too weak at kinks of
-   the exact objective to return a perturbed-problem seed verbatim
-   (its Phi can be ~1e-5 off), so [accept_warm_start] is left to the
-   caller's solver options rather than forced here. *)
+   identical problem could only reproduce it.  Otherwise reuse the
+   compiled tape for the key and, on a same-shape hit, offer the
+   latest sibling optimum as a candidate seed under the keep-better
+   guard below. *)
 let solve_cached config cache (req : request) g =
   let key =
     {
@@ -175,8 +166,8 @@ let solve_cached config cache (req : request) g =
         in
         let solve ?x0 () =
           Allocation.solve ~options:config.solver_options
-            ~engine:(`Precompiled compiled) ~obs ?x0
-            ?decompose:config.decompose req.params g ~procs:req.procs
+            ~engine:(`Precompiled compiled) ~obs ?x0 req.params g
+            ~procs:req.procs
         in
         let allocation, warm_use =
           match req.x0 with
@@ -221,7 +212,7 @@ let solve_cached config cache (req : request) g =
               {
                 tape = (match tape_use with `Hit -> Hit | `Miss -> Miss);
                 warm = warm_use;
-                solve_skipped = allocation.solver.iterations = 0;
+                solve_skipped = false;
                 coalesced = false;
               } )
         | None -> (
@@ -242,7 +233,7 @@ let solve_cached config cache (req : request) g =
                   {
                     tape = (match tape_use with `Hit -> Hit | `Miss -> Miss);
                     warm = warm_use;
-                    solve_skipped = allocation.solver.iterations = 0;
+                    solve_skipped = false;
                     coalesced = false;
                   } )
             | `Follower ->
@@ -271,8 +262,7 @@ let plan ?(config = default_config) (req : request) =
             | Some cache -> solve_cached config cache req g
             | None ->
                 ( Allocation.solve ~options:config.solver_options ~obs
-                    ?x0:req.x0 ?decompose:config.decompose req.params g
-                    ~procs:req.procs,
+                    ?x0:req.x0 req.params g ~procs:req.procs,
                   no_cache ))
       with
       | exception Invalid_argument msg -> Result.Error (Invalid_request msg)

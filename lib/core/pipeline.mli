@@ -38,9 +38,10 @@
     Costmodel.Params.fingerprint, procs)]: an exact duplicate request
     is answered with the cached allocation outright (the solver is
     deterministic, so re-solving could only reproduce it), while a
-    near-duplicate (same MDG shape, perturbed constants) seeds the
-    solver with the sibling optimum and lets the warm-start probe
-    decide whether the smoothing anneal is needed.  The per-request
+    near-duplicate (same MDG shape, perturbed constants) is solved
+    cold with the sibling optimum offered as a candidate seed: a
+    seeded re-solve runs only when the sibling scores below the cold
+    answer, and the better of the two is kept.  The per-request
     outcome is reported in {!plan.cache}.
 
     With a live sink the pipeline emits ["pipeline.plan"] /
@@ -63,13 +64,6 @@ type config = {
           the final exact stage misses its tolerance (default
           [false]: the iterate is still feasible and usually within
           the solver's accuracy band, so batch callers keep it) *)
-  decompose : Decompose.options option;
-      (** consensus-ADMM decomposed allocation (see {!Decompose} and
-          {!Allocation.solve}); [None] (default) keeps the monolithic
-          path.  With {!Decompose.default_options} the decomposition
-          auto-activates above the node threshold.  Ignored for
-          requests carrying an explicit [x0] or answered from the
-          warm cache. *)
 }
 
 val default_config : config
@@ -85,8 +79,6 @@ val with_obs : Obs.t -> config -> config
 val with_cache : Plan_cache.t -> config -> config
 
 val with_require_convergence : bool -> config -> config
-
-val with_decompose : Decompose.options -> config -> config
 
 (** {2 Requests and errors} *)
 
@@ -138,10 +130,10 @@ type cache_outcome = {
   tape : cache_use;   (** [Shape_hit] never applies to tapes *)
   warm : cache_use;
   solve_skipped : bool;
-      (** the allocation was served without entering the solver (an
-          exact warm-cache hit, or a coalesced follower), or the
-          solver accepted a caller-supplied warm start outright — see
-          {!Convex.Solver.options.accept_warm_start} *)
+      (** the allocation was served without entering the solver: an
+          exact warm-cache hit, or a coalesced follower.  Every other
+          request runs a full solve (a seeded one still runs the
+          tightest smoothed stage and the exact polish) *)
   coalesced : bool;
       (** this request was a cache miss served by a {e concurrent}
           identical request's solve ({!Plan_cache.coalesce}): it

@@ -17,9 +17,9 @@
     All workers share one {!Core.Plan_cache} through the
     {!Core.Pipeline.config} they plan with, so the compiled-tape and
     warm-start caches warm up across clients: the steady state for a
-    repetitive request mix is a tape hit plus a warm-start accept
-    (solver answers in two gradient probes — see
-    {!Convex.Solver.options.accept_warm_start}).
+    repetitive request mix is an exact warm-cache hit, answered with
+    the stored result without entering the solver
+    ([solve_skipped] in {!Core.Pipeline.cache_outcome}).
 
     {!stop} is graceful: the listener closes immediately, workers
     finish the request they are executing and any further requests

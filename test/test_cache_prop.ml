@@ -174,7 +174,6 @@ let fake_result n value =
         hvp_evals = 0;
         cg_iterations = 0;
       };
-    decomposed = None;
   }
 
 let shape_key ?(fingerprint = 0L) ~h ~procs () =

@@ -30,7 +30,6 @@ let fake_result n value =
         hvp_evals = 0;
         cg_iterations = 0;
       };
-    decomposed = None;
   }
 
 let key ?(h = 42) ?(procs = 16) () =

@@ -106,113 +106,6 @@ let test_expr_validation () =
        "Expr.eval: expression uses variable 1 but x has dim 1") (fun () ->
       ignore (Expr.eval (Expr.term ~coeff:1.0 ~expts:[ (1, 1.0) ]) [| 0.0 |]))
 
-(* ------------------------------------------------------------------ *)
-(* Affine forms and hinge penalties (the consensus-ADMM grammar)       *)
-(* ------------------------------------------------------------------ *)
-
-let test_affine_eval () =
-  (* Any-sign bias and coefficients, unlike posynomial terms. *)
-  let e = Expr.affine ~bias:(-1.5) ~coefs:[ (0, 2.0); (1, -0.5) ] in
-  check_close "value"
-    (-1.5 +. (2.0 *. 0.4) -. (0.5 *. 0.9))
-    (Expr.eval e [| 0.4; 0.9 |]);
-  (* Duplicate indices sum; zero coefficients leave the support. *)
-  let merged = Expr.affine ~bias:0.25 ~coefs:[ (0, 1.0); (0, -1.0); (1, 0.0) ] in
-  check_close "cancelled to bias" 0.25 (Expr.eval merged [| 123.0; 456.0 |]);
-  Alcotest.(check int) "no live variables" (-1) (Expr.max_var merged)
-
-let test_hinge_eval () =
-  (* (max(x - 1, 0))^2: quadratic on the active side, flat below. *)
-  let e = Expr.hinge (Expr.affine ~bias:(-1.0) ~coefs:[ (0, 1.0) ]) in
-  check_close "active side" 4.0 (Expr.eval e [| 3.0 |]);
-  check_close "inactive side" 0.0 (Expr.eval e [| 0.5 |]);
-  check_close "at the kink" 0.0 (Expr.eval e [| 1.0 |]);
-  (* Constant children fold at construction. *)
-  let folded = Expr.hinge (Expr.const 2.0) in
-  Alcotest.(check int) "constant hinge folds" 1 (Expr.num_nodes folded);
-  check_close "folded value" 4.0 (Expr.eval folded [||])
-
-let test_sq_affine_eval () =
-  (* The two-sided pin: a full square, active on both sides. *)
-  let v x = 0.3 -. (1.2 *. x) in
-  let e = Expr.sq_affine ~bias:0.3 ~coefs:[ (0, -1.2) ] in
-  check_close "positive side" (v (-1.0) ** 2.0) (Expr.eval e [| -1.0 |]);
-  check_close "negative side" (v 2.0 ** 2.0) (Expr.eval e [| 2.0 |]);
-  check_close "at the root" 0.0 (Expr.eval e [| 0.25 |])
-
-let test_affine_hinge_gradient_fd () =
-  (* Gradient of an ADMM-shaped objective (hinges and pins mixed with
-     posynomial terms under a max) vs central differences. *)
-  let e =
-    Expr.sum
-      [
-        Expr.hinge (Expr.affine ~bias:(-0.2) ~coefs:[ (0, 1.0); (1, -1.0) ]);
-        Expr.sq_affine ~bias:0.4 ~coefs:[ (1, 1.5) ];
-        Expr.max_
-          [
-            Expr.term ~coeff:0.5 ~expts:[ (0, 1.0) ];
-            Expr.hinge (Expr.affine ~bias:0.1 ~coefs:[ (1, 1.0) ]);
-          ];
-      ]
-  in
-  let x = [| 0.6; 0.3 |] in
-  let mu = 0.05 in
-  let _, g = Expr.eval_grad ~mu e x in
-  let h = 1e-6 in
-  for i = 0 to 1 do
-    let xp = Array.copy x and xm = Array.copy x in
-    xp.(i) <- xp.(i) +. h;
-    xm.(i) <- xm.(i) -. h;
-    let fd = (Expr.eval ~mu e xp -. Expr.eval ~mu e xm) /. (2.0 *. h) in
-    check_close ~eps:1e-4 (Printf.sprintf "dx%d" i) fd g.(i)
-  done
-
-let test_solver_tracks_pinned_target () =
-  (* The ADMM block-subproblem shape: a posynomial cost plus a heavy
-     two-sided pin toward a consensus target.  The optimum of
-     e^x + 100 (x - 0.7)^2 sits at 0.7 - e^0.7 / 200 ~ 0.69. *)
-  let e =
-    Expr.sum
-      [
-        Expr.term ~coeff:1.0 ~expts:[ (0, 1.0) ];
-        Expr.scale 100.0 (Expr.sq_affine ~bias:(-0.7) ~coefs:[ (0, 1.0) ]);
-      ]
-  in
-  let r = Solver.solve { objective = e; lo = [| -2.0 |]; hi = [| 2.0 |] } in
-  check_close ~eps:1e-3 "tracks the pin" (0.7 -. (exp 0.7 /. 200.0)) r.x.(0)
-
-let random_hinge_expr_gen =
-  let open QCheck.Gen in
-  let affine_gen =
-    let* b = float_range (-2.0) 2.0 in
-    let* a0 = float_range (-2.0) 2.0 in
-    let* a1 = float_range (-2.0) 2.0 in
-    return (Expr.affine ~bias:b ~coefs:[ (0, a0); (1, a1) ])
-  in
-  let* hinges = list_size (int_range 1 4) (map Expr.hinge affine_gen) in
-  let* b = float_range (-1.0) 1.0 in
-  let* a = float_range (-2.0) 2.0 in
-  let* c = float_range 0.1 3.0 in
-  let* a1 = float_range (-2.0) 2.0 in
-  let term = Expr.term ~coeff:c ~expts:[ (1, a1) ] in
-  return (Expr.sum (Expr.sq_affine ~bias:b ~coefs:[ (0, a) ] :: term :: hinges))
-
-let prop_hinge_convex_in_x =
-  QCheck.Test.make
-    ~name:"hinge/affine penalty sums are convex in x (midpoint)" ~count:200
-    QCheck.(
-      make
-        Gen.(
-          triple random_hinge_expr_gen
-            (pair (float_range (-1.5) 1.5) (float_range (-1.5) 1.5))
-            (pair (float_range (-1.5) 1.5) (float_range (-1.5) 1.5))))
-    (fun (e, (x0, x1), (y0, y1)) ->
-      let x = [| x0; x1 |] and y = [| y0; y1 |] in
-      let mid = [| (x0 +. y0) /. 2.0; (x1 +. y1) /. 2.0 |] in
-      let fx = Expr.eval e x and fy = Expr.eval e y in
-      let fm = Expr.eval e mid in
-      fm <= ((fx +. fy) /. 2.0) +. (1e-9 *. (1.0 +. Float.abs fx +. Float.abs fy)))
-
 (* Convexity in x: midpoint property for random expressions. *)
 let random_expr_gen =
   let open QCheck.Gen in
@@ -417,15 +310,6 @@ let suite =
       test_expr_subgradient_at_kink;
     Alcotest.test_case "expr DAG sharing" `Quick test_expr_dag_sharing;
     Alcotest.test_case "expr validation" `Quick test_expr_validation;
-    Alcotest.test_case "affine forms: any-sign eval and merging" `Quick
-      test_affine_eval;
-    Alcotest.test_case "hinge: positive-part square" `Quick test_hinge_eval;
-    Alcotest.test_case "sq_affine: two-sided pin" `Quick test_sq_affine_eval;
-    Alcotest.test_case "affine/hinge gradient vs finite differences" `Quick
-      test_affine_hinge_gradient_fd;
-    Alcotest.test_case "solver: tracks a heavy consensus pin" `Quick
-      test_solver_tracks_pinned_target;
-    QCheck_alcotest.to_alcotest prop_hinge_convex_in_x;
     QCheck_alcotest.to_alcotest prop_expr_convex_in_x;
     Alcotest.test_case "posynomial evaluation" `Quick test_posy_eval;
     Alcotest.test_case "posynomial algebra" `Quick test_posy_algebra;

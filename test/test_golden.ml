@@ -120,108 +120,7 @@ let test_golden () =
         (String.concat "\n  " ps)
         regen_command
 
-(* ---------------------------------------------------------------- *)
-(* Decomposed (consensus-ADMM) pins: Φ, block count and outer
-   iteration count for the paper's Strassen programs and the two
-   random workloads `bench scale` pins.  Same file and column layout
-   as the monolithic rows, with [stages] read as the (exact) block
-   count and [iterations]/[iter_tol] as the ADMM outer iterations. *)
-
-let admm_options =
-  { Core.Decompose.default_options with Core.Decompose.mode = Core.Decompose.On }
-
-(* The two `random:<spec>:<seed>` workloads bench scale pins. *)
-let random_pins =
-  [ ("depth=3,branch=3,div=1,comb=1", 17); ("depth=5,branch=3,cutoff=0.2", 1994) ]
-
-let admm_cases () =
-  let gt = GT.cm5_like () in
-  let strassen levels =
-    let n = 128 in
-    let g = G.normalise (Kernels.Strassen_mdg.graph_recursive ~levels ~n) in
-    let p, _, _ =
-      Machine.Measure.calibrate gt ~procs:calib_procs
-        (Kernels.Strassen_mdg.kernels_recursive ~levels ~n)
-    in
-    (Printf.sprintf "admm-strassen-l%d" levels, g, p)
-  in
-  let random (spec, seed) =
-    let s =
-      match Workgen.spec_of_string spec with
-      | Ok s -> s
-      | Error m -> Alcotest.failf "bad pinned spec %s: %s" spec m
-    in
-    ( Printf.sprintf "admm-random-%d" seed,
-      Workgen.generate s ~seed,
-      Costmodel.Params.make ~transfer:Costmodel.Params.cm5_transfer )
-  in
-  [ strassen 2; strassen 3 ] @ List.map random random_pins
-
-let default_admm_exp =
-  { phi = nan; phi_rel_tol = 1e-6; stages = 0; iterations = 0; iter_tol = 3 }
-
-let test_golden_admm () =
-  let golden = load_golden (golden_path ()) in
-  let problems = ref [] in
-  let fresh = ref [] in
-  let mismatch fmt =
-    Printf.ksprintf (fun m -> problems := m :: !problems) fmt
-  in
-  List.iter
-    (fun (name, g, p) ->
-      let r = Core.Allocation.solve ~decompose:admm_options p g ~procs:64 in
-      match r.decomposed with
-      | None -> mismatch "%s: the decomposed path did not run" name
-      | Some st ->
-          let blocks = st.Core.Decompose.blocks in
-          let outer =
-            st.Core.Decompose.admm.Convex.Admm.outer_iterations
-          in
-          let exp =
-            Option.value (List.assoc_opt name golden) ~default:default_admm_exp
-          in
-          fresh :=
-            Printf.sprintf "%-16s %.9f %g %d %d %d" name r.phi
-              exp.phi_rel_tol blocks outer exp.iter_tol
-            :: !fresh;
-          if Float.is_nan exp.phi then mismatch "%s: no golden row" name
-          else begin
-            let delta = Float.abs (r.phi -. exp.phi) in
-            let allowed = exp.phi_rel_tol *. Float.abs exp.phi in
-            if delta > allowed then
-              mismatch
-                "%s: Phi %.9f vs golden %.9f — |delta| %.3g over tolerance \
-                 %.3g (rel %g)"
-                name r.phi exp.phi delta allowed exp.phi_rel_tol;
-            if blocks <> exp.stages then
-              mismatch "%s: %d blocks vs golden %d (exact-match field)" name
-                blocks exp.stages;
-            let drift = abs (outer - exp.iterations) in
-            if drift > exp.iter_tol then
-              mismatch
-                "%s: %d outer iterations vs golden %d — drift %d over tol %d"
-                name outer exp.iterations drift exp.iter_tol
-          end)
-    (admm_cases ());
-  if Sys.getenv_opt "PARADIGM_GOLDEN_REGEN" <> None then
-    Printf.printf
-      "\n# fresh ADMM rows for test/golden/solver.golden (current \
-       tolerances):\n%s\n"
-      (String.concat "\n" (List.rev !fresh));
-  match List.rev !problems with
-  | [] -> ()
-  | ps ->
-      Alcotest.failf
-        "%d ADMM golden mismatch(es):\n  %s\n\nIf the drift is intentional, \
-         print replacement rows with\n  %s\nand paste them into \
-         test/golden/solver.golden."
-        (List.length ps)
-        (String.concat "\n  " ps)
-        regen_command
-
 let suite =
   [
     Alcotest.test_case "Phi and stage counts match golden" `Slow test_golden;
-    Alcotest.test_case "decomposed Phi/blocks/outer match golden" `Slow
-      test_golden_admm;
   ]

@@ -26,7 +26,6 @@ let () =
       ("cache-prop", Test_cache_prop.suite);
       ("coalesce", Test_coalesce.suite);
       ("workgen-prop", Test_workgen_prop.suite);
-      ("admm-prop", Test_admm_prop.suite);
       ("par-tape", Test_par_tape.suite);
       ("integration", Test_integration.suite);
     ]

@@ -210,90 +210,6 @@ let test_render_ascii_and_summary () =
   let s = Mdg.Render.summary (diamond ()) in
   Alcotest.(check string) "summary" "4 nodes, 4 edges, depth 3, max width 2" s
 
-(* ------------------------------------------------------------------ *)
-(* Partition (blocks for the decomposed solver)                        *)
-(* ------------------------------------------------------------------ *)
-
-module Pt = Mdg.Partition
-
-(* Two independent chains a->b and c->d: the interior splits into two
-   weakly-connected components. *)
-let two_chains () =
-  let b = G.create_builder () in
-  let a = G.add_node b ~label:"a" ~kernel:(synth ()) in
-  let b1 = G.add_node b ~label:"b" ~kernel:(synth ()) in
-  let c = G.add_node b ~label:"c" ~kernel:(synth ()) in
-  let d = G.add_node b ~label:"d" ~kernel:(synth ()) in
-  G.add_edge b ~src:a ~dst:b1 ~bytes:10.0 ~kind:Oned;
-  G.add_edge b ~src:c ~dst:d ~bytes:10.0 ~kind:Oned;
-  G.build b
-
-let check_partition_invariants g (p : Pt.t) =
-  let seen = Array.make (G.num_nodes g) 0 in
-  Array.iter (Array.iter (fun n -> seen.(n) <- seen.(n) + 1)) p.Pt.blocks;
-  Array.iter (fun c -> Alcotest.(check int) "node in exactly one block" 1 c) seen;
-  List.iter
-    (fun (e : G.edge) ->
-      Alcotest.(check bool) "edges point forward across blocks" true
-        (p.Pt.block_of.(e.src) <= p.Pt.block_of.(e.dst)))
-    (G.edges g)
-
-let test_partition_single_block () =
-  let g = G.normalise (diamond ()) in
-  let p = Pt.partition ~target:1 g in
-  Alcotest.(check int) "one block" 1 (Pt.num_blocks p);
-  Alcotest.(check int) "holds every node" (G.num_nodes g)
-    (Array.length p.Pt.blocks.(0));
-  Alcotest.(check int) "no cut edges" 0 (Array.length p.Pt.cut_edges);
-  check_partition_invariants g p
-
-let test_partition_splits_components () =
-  let g = G.normalise (two_chains ()) in
-  let p = Pt.partition ~target:2 g in
-  Alcotest.(check int) "two blocks" 2 (Pt.num_blocks p);
-  (* Each chain stays whole and the chains land in different blocks. *)
-  Alcotest.(check int) "a with b" p.Pt.block_of.(0) p.Pt.block_of.(1);
-  Alcotest.(check int) "c with d" p.Pt.block_of.(2) p.Pt.block_of.(3);
-  Alcotest.(check bool) "chains separated" true
-    (p.Pt.block_of.(0) <> p.Pt.block_of.(2));
-  check_partition_invariants g p
-
-let test_partition_chain_segments () =
-  (* A single 6-node chain has one component; reaching the target
-     requires slicing it into contiguous topological segments. *)
-  let b = G.create_builder () in
-  let ids =
-    Array.init 6 (fun i ->
-        G.add_node b ~label:(string_of_int i) ~kernel:(synth ()))
-  in
-  for i = 0 to 4 do
-    G.add_edge b ~src:ids.(i) ~dst:ids.(i + 1) ~bytes:1.0 ~kind:Oned
-  done;
-  let g = G.normalise (G.build b) in
-  let p = Pt.partition ~target:3 g in
-  Alcotest.(check bool) "chain was sliced" true (Pt.num_blocks p >= 2);
-  check_partition_invariants g p;
-  (* cut_edges is exactly the cross-block subsequence of edges. *)
-  let expected =
-    List.filter
-      (fun (e : G.edge) -> p.Pt.block_of.(e.src) <> p.Pt.block_of.(e.dst))
-      (G.edges g)
-  in
-  Alcotest.(check int) "cut-edge count" (List.length expected)
-    (Array.length p.Pt.cut_edges);
-  (* Deterministic for a given graph and target. *)
-  let p' = Pt.partition ~target:3 g in
-  Alcotest.(check bool) "deterministic" true (p.Pt.blocks = p'.Pt.blocks)
-
-let test_partition_validation () =
-  let g = G.normalise (diamond ()) in
-  Alcotest.check_raises "target < 1"
-    (Invalid_argument "Partition.partition: target < 1") (fun () ->
-      ignore (Pt.partition ~target:0 g));
-  Alcotest.check_raises "unnormalised"
-    (Invalid_argument "Partition.partition: graph must be normalised")
-    (fun () -> ignore (Pt.partition ~target:2 (two_chains ())))
-
 (* Property: random layered workloads always produce valid normalised
    DAGs whose analyses agree. *)
 let prop_random_workload_well_formed =
@@ -336,12 +252,5 @@ let suite =
     Alcotest.test_case "render DOT" `Quick test_render_dot;
     Alcotest.test_case "render ASCII + summary" `Quick
       test_render_ascii_and_summary;
-    Alcotest.test_case "partition: degenerate single block" `Quick
-      test_partition_single_block;
-    Alcotest.test_case "partition: components split cleanly" `Quick
-      test_partition_splits_components;
-    Alcotest.test_case "partition: chains slice into segments" `Quick
-      test_partition_chain_segments;
-    Alcotest.test_case "partition: validation" `Quick test_partition_validation;
     QCheck_alcotest.to_alcotest prop_random_workload_well_formed;
   ]

@@ -405,6 +405,76 @@ let test_traced_strassen2_pipeline () =
   (* And the whole stream renders as one well-formed Chrome trace. *)
   check_json "full pipeline chrome trace" (Obs.Chrome_format.to_json events)
 
+(* ------------------------------------------------------------------ *)
+(* Solver counter contract                                             *)
+(* ------------------------------------------------------------------ *)
+
+(* Per-layer solver counts (planbench's among them) are read off the
+   solver.* counters, not the result record, so the counters of one
+   solve must add up to its result. *)
+let series_sum events name key =
+  List.fold_left
+    (fun acc ev ->
+      match ev with
+      | E.Counter { name = n; series; _ } when n = name ->
+          acc +. Option.value ~default:0.0 (List.assoc_opt key series)
+      | _ -> acc)
+    0.0 events
+
+let check_counter_contract label ?(options = Convex.Solver.default_options)
+    params g ~procs =
+  let recorder = Obs.Recorder.create () in
+  let config =
+    Core.Pipeline.(
+      default_config
+      |> with_solver_options options
+      |> with_obs (Obs.Recorder.sink recorder))
+  in
+  let plan = Core.Pipeline.plan_exn ~config params g ~procs in
+  let r = plan.allocation.solver in
+  let events = Obs.Recorder.events recorder in
+  let sum name key = int_of_float (series_sum events name key) in
+  let check what = Alcotest.(check int) (label ^ ": " ^ what) in
+  check "one solve" 1 (count_name events "solver.solve");
+  check "solver.stage events = stages" r.stages
+    (count_name events "solver.stage");
+  check "stage + Newton iterations = iterations" r.iterations
+    (sum "solver.stage" "iterations" + sum "solver.cg_iters" "newton_iters");
+  check "hvps = hvp_evals" r.hvp_evals (sum "solver.hvp" "hvps");
+  check "cg_iters = cg_iterations" r.cg_iterations
+    (sum "solver.cg_iters" "cg_iters");
+  r
+
+let test_solver_counter_contract () =
+  let gt = Machine.Ground_truth.cm5_like () in
+  let strassen2 = Kernels.Strassen_mdg.graph_recursive ~levels:2 ~n:128 in
+  let params, _, _ =
+    Machine.Measure.calibrate gt
+      ~procs:[ 1; 2; 4; 8; 16; 32; 64 ]
+      (Kernels.Strassen_mdg.kernels_recursive ~levels:2 ~n:128)
+  in
+  let r = check_counter_contract "strassen:2" params strassen2 ~procs:64 in
+  Alcotest.(check bool) "strassen:2 ran Newton-CG" true (r.hvp_evals > 0);
+  let shape =
+    Workgen.generate
+      (Workgen.spec_of_string_exn "depth=3,branch=3,div=1,comb=1")
+      ~seed:17
+  in
+  let synthetic =
+    Costmodel.Params.make ~transfer:Costmodel.Params.cm5_transfer
+  in
+  let r = check_counter_contract "workgen" synthetic shape ~procs:64 in
+  Alcotest.(check bool) "workgen ran Newton-CG" true (r.hvp_evals > 0);
+  (* The first-order stages report their FISTA iterations on
+     solver.stage instead. *)
+  let r =
+    check_counter_contract "workgen, first order"
+      ~options:{ Convex.Solver.default_options with second_order = false }
+      synthetic shape ~procs:64
+  in
+  Alcotest.(check bool) "first order ran FISTA" true
+    (r.iterations > 0 && r.hvp_evals = 0)
+
 let suite =
   [
     Alcotest.test_case "null sink is a no-op" `Quick test_null_noop;
@@ -416,4 +486,6 @@ let suite =
     Alcotest.test_case "summary aggregates" `Quick test_summary;
     Alcotest.test_case "traced strassen2 validates" `Slow
       test_traced_strassen2_pipeline;
+    Alcotest.test_case "solver counters add up to the result" `Slow
+      test_solver_counter_contract;
   ]

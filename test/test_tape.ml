@@ -187,75 +187,6 @@ let test_tape_subgradient_at_kink_matches_expr () =
   Alcotest.(check (float 1e-12)) "same branch" g_ref.(0) grad.(0)
 
 (* ------------------------------------------------------------------ *)
-(* Affine/hinge opcodes (the consensus-ADMM block-objective grammar)   *)
-(* ------------------------------------------------------------------ *)
-
-(* An ADMM-shaped objective: hinge penalties and two-sided pins over
-   affine forms, mixed with a posynomial term under a max. *)
-let admm_shaped_expr () =
-  Expr.sum
-    [
-      Expr.hinge (Expr.affine ~bias:(-0.2) ~coefs:[ (0, 1.0); (1, -1.0) ]);
-      Expr.sq_affine ~bias:0.4 ~coefs:[ (1, 1.5); (2, -0.25) ];
-      Expr.max_
-        [
-          Expr.term ~coeff:0.5 ~expts:[ (0, 1.0); (2, -0.5) ];
-          Expr.hinge (Expr.affine ~bias:0.1 ~coefs:[ (2, 1.0) ]);
-        ];
-    ]
-
-let test_tape_affine_hinge_matches_expr () =
-  let e = admm_shaped_expr () in
-  let tape = Tape.compile e in
-  let ws = Tape.create_workspace tape in
-  let grad = Array.make nvars 0.0 in
-  List.iter
-    (fun x ->
-      List.iter
-        (fun mu ->
-          let v_ref, g_ref = Expr.eval_grad ~mu e x in
-          let v = Tape.eval_grad ~mu tape ws ~x ~grad in
-          if not (rel_close v_ref v) then
-            Alcotest.failf "affine/hinge value mismatch at mu=%g" mu;
-          Array.iteri
-            (fun i gi ->
-              if not (rel_close ~eps:1e-9 gi grad.(i)) then
-                Alcotest.failf
-                  "affine/hinge gradient mismatch at mu=%g, var %d" mu i)
-            g_ref)
-        mus)
-    [ [| 0.3; -0.4; 0.8 |]; [| -1.0; 1.0; 0.0 |]; [| 0.2; 0.2; 0.2 |] ]
-
-let test_tape_hinge_hvp_matches_finite_difference () =
-  (* The hinge opcode's adjoint-tangent injection: H·dx from
-     forward-over-reverse vs central differences of the tape gradient
-     along dx, at a point where every hinge is strictly active or
-     strictly inactive (the generalised Hessian is locally exact). *)
-  let e = admm_shaped_expr () in
-  let mu = 0.1 in
-  let tape = Tape.compile e in
-  let ws = Tape.create_workspace tape in
-  let x = [| 0.3; -0.4; 0.8 |] in
-  let dx = [| 0.5; -1.0; 0.25 |] in
-  let grad = Array.make nvars 0.0 in
-  let hvp = Array.make nvars 0.0 in
-  ignore (Tape.eval_hvp ~mu tape ws ~x ~dx ~grad ~hvp);
-  let h = 1e-5 in
-  let at s =
-    let xs = Array.mapi (fun i xi -> xi +. (s *. dx.(i))) x in
-    let g = Array.make nvars 0.0 in
-    ignore (Tape.eval_grad ~mu tape ws ~x:xs ~grad:g);
-    g
-  in
-  let gp = at h and gm = at (-.h) in
-  for i = 0 to nvars - 1 do
-    let fd = (gp.(i) -. gm.(i)) /. (2.0 *. h) in
-    if not (rel_close ~eps:1e-4 fd hvp.(i)) then
-      Alcotest.failf "hinge HVP vs finite differences: var %d (%g vs %g)" i
-        hvp.(i) fd
-  done
-
-(* ------------------------------------------------------------------ *)
 (* Zero allocation on the warm path                                    *)
 (* ------------------------------------------------------------------ *)
 
@@ -385,10 +316,6 @@ let suite =
     Alcotest.test_case "tape rejects short x" `Quick test_tape_rejects_short_x;
     Alcotest.test_case "tape subgradient at kink matches Expr" `Quick
       test_tape_subgradient_at_kink_matches_expr;
-    Alcotest.test_case "affine/hinge opcodes match Expr" `Quick
-      test_tape_affine_hinge_matches_expr;
-    Alcotest.test_case "hinge HVP vs finite differences" `Quick
-      test_tape_hinge_hvp_matches_finite_difference;
     Alcotest.test_case "warm tape gradient allocates nothing" `Quick
       test_tape_warm_gradient_no_alloc;
     Alcotest.test_case "solver engines agree: complex-mm" `Quick
