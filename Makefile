@@ -1,7 +1,7 @@
 # Development entry points.  `make verify` is the tier-1 gate: build,
 # test, and (when ocamlformat is installed) formatting drift.
 
-.PHONY: all build test test-long fmt fmt-apply verify bench-quick bench-serve-quick clean
+.PHONY: all build test test-long fmt fmt-apply verify bench-quick bench-serve-quick planbench-smoke clean
 
 all: build
 
@@ -47,6 +47,16 @@ bench-quick: build
 # cache (see bench/serve_bench.ml).
 bench-serve-quick: build
 	dune exec bench/main.exe -- serve-quick
+
+# Plan-service benchmark smoke: one short untraced run of each
+# planbench workload.  planbench exits non-zero when a reply's Phi
+# disagrees with the Expr reference (Allocation.evaluate) by more than
+# 1e-9, when Theorem 3's bound fails, or when a served Phi is not
+# bit-identical to the in-process replay.
+planbench-smoke: build
+	for w in plan-cold serve-hit serve-drift; do \
+		python3 planbench/run.py --workload $$w --seed 1 --seconds 1 --trace 0 || exit 1; \
+	done
 
 clean:
 	dune clean

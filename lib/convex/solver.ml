@@ -63,24 +63,24 @@ type result = {
 }
 
 type compiled = {
-  expr : Expr.t;
   tape : Tape.t;
   ws : Tape.workspace;
 }
 
-let compile ?(obs = Obs.null) expr =
+let compile_tape ?(obs = Obs.null) build =
   Obs.span obs ~cat:"solver" "solver.compile" @@ fun () ->
-  let tape = Tape.compile expr in
+  let tape = build () in
   if Obs.enabled obs then
     Obs.counter obs "solver.tape"
       [
-        ("dag_nodes", float_of_int (Expr.num_nodes expr));
         ("slots", float_of_int (Tape.num_slots tape));
         ("term_entries", float_of_int (Tape.num_term_entries tape));
         ("children", float_of_int (Tape.num_children tape));
         ("vars", float_of_int (Tape.n_vars tape));
       ];
-  { expr; tape; ws = Tape.create_workspace tape }
+  { tape; ws = Tape.create_workspace tape }
+
+let compile ?obs expr = compile_tape ?obs (fun () -> Tape.compile expr)
 
 let eval_compiled ?(mu = 0.0) c x = Tape.eval ~mu c.tape c.ws x
 
@@ -91,16 +91,14 @@ let compiled_branches c = Tape.root_branches c.tape c.ws
    cached compilation serve concurrent solves on separate domains. *)
 let share_tape c = { c with ws = Tape.create_workspace c.tape }
 
-type engine = Tape | Precompiled of compiled | Reference
+type engine = Tape | Reference
 
-let validate { objective; lo; hi } =
+let check_box name lo hi =
   let n = Vec.dim lo in
-  if Vec.dim hi <> n then invalid_arg "Solver.solve: lo/hi dimension mismatch";
+  if Vec.dim hi <> n then invalid_arg (name ^ ": lo/hi dimension mismatch");
   for i = 0 to n - 1 do
-    if lo.(i) > hi.(i) then invalid_arg "Solver.solve: empty box"
-  done;
-  if Expr.max_var objective >= n then
-    invalid_arg "Solver.solve: objective references variables outside the box"
+    if lo.(i) > hi.(i) then invalid_arg (name ^ ": empty box")
+  done
 
 let clamp1 lo hi v = if v < lo then lo else if v > hi then hi else v
 
@@ -415,96 +413,12 @@ let newton_stage ~opts ~tol ~mu ~f ~fg ~so ~lo ~hi ~x ~g ~cand ~d ~r ~p ~hp ~z
    with Exit -> ());
   (!outer, !cg_total, !hvps, !hit_tol)
 
-let solve ?(options = default_options) ?(engine = Tape) ?(obs = Obs.null) ?x0
-    problem =
-  validate problem;
-  let { objective; lo; hi } = problem in
+(* The staged solve proper, over objective oracles: [f]/[fg] evaluate
+   the objective at a point (and [fg] writes its gradient into [g]);
+   [so] is the second-order oracle, absent on the Reference engine.
+   [x] is the projected start point, updated in place. *)
+let run ~options ~obs ~x0 ~lo ~hi ~x ~g ~f ~fg ~so =
   let n = Vec.dim lo in
-  let x =
-    match x0 with
-    | Some x ->
-        if Vec.dim x <> n then invalid_arg "Solver.solve: x0 dimension mismatch";
-        Vec.clamp ~lo ~hi x
-    | None -> Vec.init n (fun i -> (lo.(i) +. hi.(i)) /. 2.0)
-  in
-  (* Evaluation engine: the flat tape (compiled here unless the caller
-     already did) is the fast path; [Reference] keeps the memoised
-     DAG-walking {!Expr} implementation callable for cross-checks. *)
-  let g = Vec.create n 0.0 in
-  let f, fg, so, pool =
-    match engine with
-    | Tape | Precompiled _ ->
-        let c =
-          match engine with
-          | Precompiled c ->
-              if Tape.n_vars c.tape > n then
-                invalid_arg
-                  "Solver.solve: precompiled tape references variables outside \
-                   the box";
-              c
-          | _ -> compile ~obs objective
-        in
-        (* Parallel level-scheduled sweeps for the full-tape paths
-           (FISTA, line-search probes, Newton gradients) when the
-           caller asked for domains and the tape is big enough to
-           amortise the fork-join handoff.  The CG's HVPs stay on the
-           masked serial path: they touch only the live fraction of
-           the tape, which is usually below the cutoff anyway. *)
-        let nd =
-          if options.domains = 0 then Domain.recommended_domain_count ()
-          else options.domains
-        in
-        (* Checked out per solve — concurrent solves (the plan server's
-           worker domains) must not share a pool, whose job state is
-           single-job — and released when this solve returns. *)
-        let pool =
-          if nd > 1 && Tape.num_slots c.tape >= parallel_cutoff then begin
-            if Obs.enabled obs then
-              Obs.counter obs "solver.parallel_tape"
-                [
-                  ("domains", float_of_int nd);
-                  ("slots", float_of_int (Tape.num_slots c.tape));
-                  ("levels", float_of_int (Tape.num_levels c.tape));
-                ];
-            Some (Numeric.Domain_pool.acquire ~size:nd)
-          end
-          else None
-        in
-        let f, fg =
-          match pool with
-          | Some pool ->
-              ( (fun ~mu x -> Tape.eval_pool ~mu c.tape pool c.ws x),
-                fun ~mu x -> Tape.eval_grad_pool ~mu c.tape pool c.ws ~x ~grad:g
-              )
-          | None ->
-              ( (fun ~mu x -> Tape.eval ~mu c.tape c.ws x),
-                fun ~mu x -> Tape.eval_grad ~mu c.tape c.ws ~x ~grad:g )
-        in
-        ( f,
-          fg,
-          Some
-            {
-              so_mask = (fun ~mu ~free -> Tape.hvp_mask ~mu c.tape c.ws ~free);
-              so_hvp =
-                (fun ~x ~dx ~hvp -> Tape.hvp_masked c.tape c.ws ~x ~dx ~hvp);
-              so_diag = (fun ~diag -> Tape.hess_diag c.tape c.ws ~diag);
-            },
-          pool )
-    | Reference ->
-        ( (fun ~mu x -> Expr.eval ~mu objective x),
-          (fun ~mu x ->
-            let v, g' = Expr.eval_grad ~mu objective x in
-            Array.blit g' 0 g 0 n;
-            v),
-          (* No second-order oracle on the DAG-walking path: [solve]
-             falls back to pure FISTA, which doubles as the reference
-             behaviour the property tests pin the Newton path to. *)
-          None,
-          None )
-  in
-  Fun.protect ~finally:(fun () ->
-      Option.iter Numeric.Domain_pool.release pool)
-  @@ fun () ->
   Obs.span obs ~cat:"solver" "solver.solve"
     ~args:[ ("vars", Obs.Events.Int n) ]
   @@ fun () ->
@@ -742,6 +656,97 @@ let solve ?(options = default_options) ?(engine = Tape) ?(obs = Obs.null) ?x0
     hvp_evals = !total_hvps;
     cg_iterations = !total_cg;
   }
+
+let start_point name ?x0 lo hi =
+  let n = Vec.dim lo in
+  match x0 with
+  | Some x ->
+      if Vec.dim x <> n then invalid_arg (name ^ ": x0 dimension mismatch");
+      Vec.clamp ~lo ~hi x
+  | None -> Vec.init n (fun i -> (lo.(i) +. hi.(i)) /. 2.0)
+
+(* The tape engine without the box checks (see [solve_compiled]). *)
+let solve_tape ~options ~obs ?x0 name c ~lo ~hi =
+  let n = Vec.dim lo in
+  if Tape.n_vars c.tape > n then
+    invalid_arg (name ^ ": tape references variables outside the box");
+  let x = start_point name ?x0 lo hi in
+  let g = Vec.create n 0.0 in
+  (* Parallel level-scheduled sweeps for the full-tape paths (FISTA,
+     line-search probes, Newton gradients) when the caller asked for
+     domains and the tape is big enough to amortise the fork-join
+     handoff.  The CG's HVPs stay on the masked serial path: they touch
+     only the live fraction of the tape, which is usually below the
+     cutoff anyway. *)
+  let nd =
+    if options.domains = 0 then Domain.recommended_domain_count ()
+    else options.domains
+  in
+  (* Checked out per solve — concurrent solves (the plan server's
+     worker domains) must not share a pool, whose job state is
+     single-job — and released when this solve returns. *)
+  let pool =
+    if nd > 1 && Tape.num_slots c.tape >= parallel_cutoff then begin
+      if Obs.enabled obs then
+        Obs.counter obs "solver.parallel_tape"
+          [
+            ("domains", float_of_int nd);
+            ("slots", float_of_int (Tape.num_slots c.tape));
+            ("levels", float_of_int (Tape.num_levels c.tape));
+          ];
+      Some (Numeric.Domain_pool.acquire ~size:nd)
+    end
+    else None
+  in
+  Fun.protect ~finally:(fun () -> Option.iter Numeric.Domain_pool.release pool)
+  @@ fun () ->
+  let f, fg =
+    match pool with
+    | Some pool ->
+        ( (fun ~mu x -> Tape.eval_pool ~mu c.tape pool c.ws x),
+          fun ~mu x -> Tape.eval_grad_pool ~mu c.tape pool c.ws ~x ~grad:g )
+    | None ->
+        ( (fun ~mu x -> Tape.eval ~mu c.tape c.ws x),
+          fun ~mu x -> Tape.eval_grad ~mu c.tape c.ws ~x ~grad:g )
+  in
+  let so =
+    {
+      so_mask = (fun ~mu ~free -> Tape.hvp_mask ~mu c.tape c.ws ~free);
+      so_hvp = (fun ~x ~dx ~hvp -> Tape.hvp_masked c.tape c.ws ~x ~dx ~hvp);
+      so_diag = (fun ~diag -> Tape.hess_diag c.tape c.ws ~diag);
+    }
+  in
+  run ~options ~obs ~x0 ~lo ~hi ~x ~g ~f ~fg ~so:(Some so)
+
+let solve_compiled ?(options = default_options) ?(obs = Obs.null) ?x0 c ~lo ~hi
+    =
+  check_box "Solver.solve_compiled" lo hi;
+  solve_tape ~options ~obs ?x0 "Solver.solve_compiled" c ~lo ~hi
+
+let solve ?(options = default_options) ?(engine = Tape) ?(obs = Obs.null) ?x0
+    { objective; lo; hi } =
+  check_box "Solver.solve" lo hi;
+  if Expr.max_var objective >= Vec.dim lo then
+    invalid_arg "Solver.solve: objective references variables outside the box";
+  match engine with
+  | Tape ->
+      solve_tape ~options ~obs ?x0 "Solver.solve" (compile ~obs objective)
+        ~lo ~hi
+  | Reference ->
+      let n = Vec.dim lo in
+      let x = start_point "Solver.solve" ?x0 lo hi in
+      let g = Vec.create n 0.0 in
+      (* The memoised DAG-walking {!Expr} implementation, kept for
+         cross-checks.  No second-order oracle on this path: [run]
+         falls back to pure FISTA, which doubles as the reference
+         behaviour the property tests pin the Newton path to. *)
+      run ~options ~obs ~x0 ~lo ~hi ~x ~g
+        ~f:(fun ~mu x -> Expr.eval ~mu objective x)
+        ~fg:(fun ~mu x ->
+          let v, g' = Expr.eval_grad ~mu objective x in
+          Array.blit g' 0 g 0 n;
+          v)
+        ~so:None
 
 let golden_section ?(tol = 1e-9) ~f ~lo ~hi () =
   if hi < lo then invalid_arg "Solver.golden_section: hi < lo";

@@ -1,7 +1,9 @@
 (** Projected-gradient solver for box-constrained convex programs.
 
-    Minimises a convex expression (see {!Expr}) over a box
-    [lo ≤ x ≤ hi].  Non-smooth maxima are handled by annealing a
+    Minimises a convex objective over a box [lo ≤ x ≤ hi], given
+    either as an expression ({!solve} over an {!Expr}) or as an
+    already-built flat tape ({!solve_compiled}, the plan path, which
+    never touches an {!Expr}).  Non-smooth maxima are handled by annealing a
     log-sum-exp smoothing temperature: each stage minimises the smoothed
     (convex, C¹) objective by projected gradient descent with Armijo
     backtracking, then the temperature shrinks.  Because the smoothed
@@ -9,8 +11,9 @@
     final iterate is within a vanishing additive gap of the global
     minimum of the original problem.
 
-    The objective is compiled once per solve to a flat instruction
-    tape ({!Tape}) with reverse-mode gradients, so every FISTA
+    {!solve} compiles the expression once per solve to a flat
+    instruction tape ({!Tape}) with reverse-mode gradients and then
+    runs exactly what {!solve_compiled} runs, so every FISTA
     iteration, Armijo probe and per-stage exact evaluation costs
     O(|tape|) and allocates nothing — instead of the O(n·|DAG|)
     forward-mode sweep of {!Expr.eval_grad}.  The DAG-walking
@@ -99,11 +102,17 @@ type compiled
     exact evaluations; the workspace is mutable, so a [compiled] value
     must not be used from two evaluators concurrently. *)
 
+val compile_tape : ?obs:Obs.t -> (unit -> Tape.t) -> compiled
+(** [compile_tape build] runs the tape front end [build] (for example
+    [Core.Allocation.objective_tape]) and pairs the tape with a fresh
+    workspace.  With a live [obs] sink the build is wrapped in a
+    ["solver.compile"] span and emits a ["solver.tape"] counter
+    sampling the tape's sizes ([slots], [term_entries], [children],
+    [vars]). *)
+
 val compile : ?obs:Obs.t -> Expr.t -> compiled
-(** Compile an objective to a flat tape (see {!Tape}).  With a live
-    [obs] sink the compilation is wrapped in a ["solver.compile"] span
-    and emits a ["solver.tape"] counter sampling the DAG and tape
-    sizes ([dag_nodes], [slots], [term_entries], [children], [vars]). *)
+(** [compile_tape] over {!Tape.compile}: compile an objective DAG to a
+    flat tape. *)
 
 val compiled_branches : compiled -> float array
 (** {!Tape.root_branches} of the compiled tape: the root max's branch
@@ -124,10 +133,26 @@ val share_tape : compiled -> compiled
 
 type engine =
   | Tape  (** compile the objective to a tape inside [solve] (default) *)
-  | Precompiled of compiled  (** reuse an existing {!compile} result *)
   | Reference
       (** the memoised DAG-walking {!Expr.eval} / {!Expr.eval_grad} —
           the slow reference implementation, kept for cross-checks *)
+
+val solve_compiled :
+  ?options:options ->
+  ?obs:Obs.t ->
+  ?x0:Numeric.Vec.t ->
+  compiled ->
+  lo:Numeric.Vec.t ->
+  hi:Numeric.Vec.t ->
+  result
+(** The tape engine alone: minimise a compiled objective over the box
+    [lo ≤ x ≤ hi], with no {!Expr.t} anywhere.  This is the plan path:
+    the allocator emits its tape straight from the MDG and solves it
+    here.  Behaves exactly as {!solve} with the [Tape] engine on an
+    objective that compiles to the same tape — same iterates, counts
+    and telemetry.  Raises [Invalid_argument] if the box is empty,
+    dimensions disagree, or the tape references variables outside the
+    box ({!Tape.n_vars}). *)
 
 val solve :
   ?options:options ->
@@ -143,8 +168,8 @@ val solve :
     result is never worse than [x0] itself — if the staged solve ends
     above the (projected) starting point, the starting point is
     returned.  Raises
-    [Invalid_argument] if the box is empty or dimensions disagree, or
-    if a [Precompiled] tape references variables outside the box.
+    [Invalid_argument] if the box is empty, dimensions disagree, or the
+    objective references variables outside the box.
 
     With a live [obs] sink (default {!Obs.null}: no overhead) the
     solve is wrapped in a ["solver.solve"] span and every smoothing

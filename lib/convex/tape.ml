@@ -75,17 +75,137 @@ type workspace = {
   mutable bar_parties : int;
 }
 
-(* [compile] writes slots and their term/child segments straight into
-   growable flat arrays as the emit walk returns from each node — the
-   walk is children-first, so a slot's segment entries land just below
-   the slot's own index and segments stay contiguous.  (An earlier
-   version collected boxed per-slot instructions in a list and
-   assembled the arrays in a second pass; on deep-MDG tapes the list
-   cells and variant boxes dominated compile time.)
+(* The builder writes slots and their term/child segments straight into
+   growable flat arrays as a front end's walk returns from each node —
+   the walks are children-first, so a slot's segment entries land just
+   below the slot's own index and segments stay contiguous.  Flat
+   arrays rather than boxed per-slot instructions: on deep-MDG tapes
+   list cells and variant boxes would dominate construction time. *)
+module Builder = struct
+  type tape = t
 
-   A positively scaled max is fused into the max slot itself
-   ([f·max v = f·lse_mu v], applied after the log-sum-exp), saving the
-   scale slot. *)
+  type t = {
+    mutable op : int array;
+    mutable lo : int array;
+    mutable hi : int array;
+    mutable c : float array;
+    mutable nslots : int;
+    mutable term_var : int array;
+    mutable term_expt : float array;
+    mutable nentries : int;
+    mutable child : int array;
+    mutable nchildren : int;
+    (* Highest variable index of any term pushed so far. *)
+    mutable max_var : int;
+    (* Constant slots carry no gradient and never change, so equal
+       values share one slot (the objective has thousands of identical
+       latency constants as max branches). *)
+    consts : (float, int) Hashtbl.t;
+  }
+
+  let create () =
+    let cap = 256 in
+    {
+      op = Array.make cap 0;
+      lo = Array.make cap 0;
+      hi = Array.make cap 0;
+      c = Array.make cap 0.0;
+      nslots = 0;
+      term_var = Array.make cap 0;
+      term_expt = Array.make cap 0.0;
+      nentries = 0;
+      child = Array.make cap 0;
+      nchildren = 0;
+      max_var = -1;
+      consts = Hashtbl.create 64;
+    }
+
+  let grow a zero =
+    let a' = Array.make (2 * Array.length a) zero in
+    Array.blit a 0 a' 0 (Array.length a);
+    a'
+
+  (* Append one slot and return its index; its segment entries must
+     already be pushed, contiguously. *)
+  let slot b o l h cv =
+    if b.nslots = Array.length b.op then begin
+      b.op <- grow b.op 0;
+      b.lo <- grow b.lo 0;
+      b.hi <- grow b.hi 0;
+      b.c <- grow b.c 0.0
+    end;
+    let k = b.nslots in
+    b.op.(k) <- o;
+    b.lo.(k) <- l;
+    b.hi.(k) <- h;
+    b.c.(k) <- cv;
+    b.nslots <- k + 1;
+    k
+
+  let push_entry b var e =
+    if b.nentries = Array.length b.term_var then begin
+      b.term_var <- grow b.term_var 0;
+      b.term_expt <- grow b.term_expt 0.0
+    end;
+    b.term_var.(b.nentries) <- var;
+    b.term_expt.(b.nentries) <- e;
+    b.nentries <- b.nentries + 1
+
+  let push_child b s =
+    if b.nchildren = Array.length b.child then b.child <- grow b.child 0;
+    b.child.(b.nchildren) <- s;
+    b.nchildren <- b.nchildren + 1
+
+  let const b v =
+    match Hashtbl.find_opt b.consts v with
+    | Some s -> s
+    | None ->
+        let s = slot b op_const 0 0 v in
+        Hashtbl.add b.consts v s;
+        s
+
+  (* Exponent entries are stored in reverse, and sum children in
+     reverse construction order.  The sweeps accumulate in segment
+     order and float addition is not associative, so this layout is
+     part of every tape's bit-level results. *)
+  let term b coeff expts =
+    let l = b.nentries in
+    for j = Array.length expts - 1 downto 0 do
+      let i, a = expts.(j) in
+      if i > b.max_var then b.max_var <- i;
+      push_entry b i a
+    done;
+    slot b op_term l b.nentries coeff
+
+  let sum b bias kids =
+    match kids with
+    | [ k ] when bias = 0.0 -> k
+    | _ ->
+        let l = b.nchildren in
+        List.iter (push_child b) kids;
+        slot b op_sum l b.nchildren bias
+
+  let max b f kids =
+    let l = b.nchildren in
+    List.iter (push_child b) kids;
+    slot b op_max l b.nchildren f
+
+  let scale b f s = slot b op_scale s 0 f
+
+  let finish b ~root : tape =
+    {
+      n_vars = b.max_var + 1;
+      root;
+      op = Array.sub b.op 0 b.nslots;
+      lo = Array.sub b.lo 0 b.nslots;
+      hi = Array.sub b.hi 0 b.nslots;
+      c = Array.sub b.c 0 b.nslots;
+      term_var = Array.sub b.term_var 0 b.nentries;
+      term_expt = Array.sub b.term_expt 0 b.nentries;
+      child = Array.sub b.child 0 b.nchildren;
+      plan = Atomic.make None;
+    }
+end
 
 (* Open-addressing memo keyed by {!Expr.id} for [compile].  The
    allocation objectives of deep MDGs reach hundreds of thousands of
@@ -106,8 +226,10 @@ module Memo = struct
     mutable count : int;
   }
 
+  (* Starts small and doubles in [idx]: a small DAG should not pay for
+     a table sized for a deep MDG. *)
   let create () =
-    let cap = 1 lsl 16 in
+    let cap = 1024 in
     { key = Array.make cap 0; cstate = Bytes.make cap '\000';
       cval = Array.make cap 0.0; slot = Array.make cap (-1);
       uses = Array.make cap 0; seen = Bytes.make cap '\000';
@@ -226,92 +348,13 @@ let compile root_expr =
         | None -> Bytes.set memo.Memo.cstate i '\002');
         r
   in
-  (* Growable tape buffers.  [push_slot o l h cv] appends one slot and
-     returns its index; segment entries for a slot must be pushed
-     (contiguously) before the slot itself. *)
-  let scap = ref 4096 and nslots = ref 0 in
-  let op_b = ref (Array.make !scap 0) in
-  let lo_b = ref (Array.make !scap 0) in
-  let hi_b = ref (Array.make !scap 0) in
-  let c_b = ref (Array.make !scap 0.0) in
-  let grow_int r len = r := Array.append !r (Array.make len 0) in
-  let grow_flt r len = r := Array.append !r (Array.make len 0.0) in
-  let push_slot o l h cv =
-    if !nslots = !scap then begin
-      grow_int op_b !scap;
-      grow_int lo_b !scap;
-      grow_int hi_b !scap;
-      grow_flt c_b !scap;
-      scap := 2 * !scap
-    end;
-    let k = !nslots in
-    !op_b.(k) <- o;
-    !lo_b.(k) <- l;
-    !hi_b.(k) <- h;
-    !c_b.(k) <- cv;
-    incr nslots;
-    k
-  in
-  let tcap = ref 4096 and tlen = ref 0 in
-  let tv_b = ref (Array.make !tcap 0) in
-  let te_b = ref (Array.make !tcap 0.0) in
-  let push_entry var e =
-    if !tlen = !tcap then begin
-      grow_int tv_b !tcap;
-      grow_flt te_b !tcap;
-      tcap := 2 * !tcap
-    end;
-    !tv_b.(!tlen) <- var;
-    !te_b.(!tlen) <- e;
-    incr tlen
-  in
-  let ccap = ref 4096 and clen = ref 0 in
-  let ch_b = ref (Array.make !ccap 0) in
-  let push_child s =
-    if !clen = !ccap then begin
-      grow_int ch_b !ccap;
-      ccap := 2 * !ccap
-    end;
-    !ch_b.(!clen) <- s;
-    incr clen
-  in
-  (* Highest variable index, tracked during the emit walk (every term
-     with a variable survives constant folding — a subtree containing
-     one is never constant — so this equals {!Expr.max_var} without a
-     second full DAG traversal). *)
-  let max_var = ref (-1) in
-  (* Constant slots carry no gradient and never change, so equal values
-     share one slot (the builders emit thousands of identical latency
-     constants as max branches).  A variable-free posynomial term is
-     the constant [coeff] (exp of an empty sum), so it joins the pool
+  let b = Builder.create () in
+  (* Every term with a variable survives constant folding (a subtree
+     containing one is never constant), so the builder's highest
+     variable index equals {!Expr.max_var} without a second full DAG
+     traversal.  A variable-free posynomial term is the constant
+     [coeff] (exp of an empty sum), so it joins the constant pool
      instead of costing a term slot. *)
-  let const_slots = Hashtbl.create 64 in
-  let push_const v =
-    match Hashtbl.find_opt const_slots v with
-    | Some s -> s
-    | None ->
-        let s = push_slot op_const 0 0 v in
-        Hashtbl.add const_slots v s;
-        s
-  in
-  (* Exponent entries are pushed in reverse, and sum children in
-     reverse construction order, matching the segment layout of the
-     earlier two-pass assembly bit-for-bit (the accumulations are
-     commutative but float addition order is not). *)
-  let push_term coeff expts =
-    let l = !tlen in
-    for j = Array.length expts - 1 downto 0 do
-      let i, a = expts.(j) in
-      if i > !max_var then max_var := i;
-      push_entry i a
-    done;
-    push_slot op_term l !tlen coeff
-  in
-  let push_max f kids =
-    let l = !clen in
-    Array.iter push_child kids;
-    push_slot op_max l !clen f
-  in
   let rec emit e =
     let i = Memo.idx memo (Expr.id e) in
     let s = memo.Memo.slot.(i) in
@@ -319,11 +362,11 @@ let compile root_expr =
     else begin
       let slot =
         match const_val e with
-        | Some v -> push_const v
+        | Some v -> Builder.const b v
         | None -> (
             match Expr.view e with
-            | Expr.V_const c -> push_const c
-            | Expr.V_term { coeff; expts } -> push_term coeff expts
+            | Expr.V_const c -> Builder.const b c
+            | Expr.V_term { coeff; expts } -> Builder.term b coeff expts
             | Expr.V_scale (f, e') ->
                 (* Compose chains of single-use scales into one factor
                    and fold that factor into a single-use term's
@@ -342,16 +385,16 @@ let compile root_expr =
                 chase ();
                 (match Expr.view !ec with
                 | Expr.V_term { coeff; expts } when uses_of !ec = 1 ->
-                    push_term (!f *. coeff) expts
+                    Builder.term b (!f *. coeff) expts
                 | Expr.V_max es when uses_of !ec = 1 ->
                     (* Fuse the factor into the max slot: the sweeps
                        multiply the slot's output (and its adjoints) by
                        the factor, in the same float operations the
                        separate scale slot performed. *)
-                    push_max !f (Array.map emit es)
+                    Builder.max b !f (emit_all es)
                 | _ ->
                     let s = emit !ec in
-                    push_slot op_scale s 0 !f)
+                    Builder.scale b !f s)
             | Expr.V_sum es ->
                 (* Fold constant summands into the bias.  A non-const
                    summand that is itself a sum with no other parent is
@@ -360,7 +403,6 @@ let compile root_expr =
                    size) changes. *)
                 let bias = ref 0.0 in
                 let kids = ref [] in
-                let nk = ref 0 in
                 let rec add_child e' =
                   match const_val e' with
                   | Some v -> bias := !bias +. v
@@ -368,37 +410,33 @@ let compile root_expr =
                       match Expr.view e' with
                       | Expr.V_sum es' when uses_of e' = 1 ->
                           Array.iter add_child es'
-                      | _ ->
-                          kids := emit e' :: !kids;
-                          incr nk)
+                      | _ -> kids := emit e' :: !kids)
                 in
                 Array.iter add_child es;
-                if !bias = 0.0 && !nk = 1 then List.hd !kids
-                else begin
-                  let l = !clen in
-                  (* [kids] is in reverse construction order, which is
-                     the sum-segment layout (see [push_term]). *)
-                  List.iter push_child !kids;
-                  push_slot op_sum l !clen !bias
-                end
+                Builder.sum b !bias !kids
             | Expr.V_max es ->
                 (* Constant branches stay as slots so the subgradient
                    tie-break (first maximising branch, in order) and
                    the softmax weighting match {!Expr} exactly. *)
-                push_max 1.0 (Array.map emit es))
+                Builder.max b 1.0 (emit_all es))
       in
       let i = Memo.idx memo (Expr.id e) in
       memo.Memo.slot.(i) <- slot;
       slot
     end
+  and emit_all es = Array.to_list (Array.map emit es) in
+  Builder.finish b ~root:(emit root_expr)
+
+let equal a b =
+  let bits = Int64.bits_of_float in
+  let same_bits x y =
+    Array.length x = Array.length y
+    && Array.for_all2 (fun u v -> Int64.equal (bits u) (bits v)) x y
   in
-  let root = emit root_expr in
-  { n_vars = !max_var + 1; root;
-    op = Array.sub !op_b 0 !nslots; lo = Array.sub !lo_b 0 !nslots;
-    hi = Array.sub !hi_b 0 !nslots; c = Array.sub !c_b 0 !nslots;
-    term_var = Array.sub !tv_b 0 !tlen;
-    term_expt = Array.sub !te_b 0 !tlen;
-    child = Array.sub !ch_b 0 !clen; plan = Atomic.make None }
+  a.n_vars = b.n_vars && a.root = b.root && a.op = b.op && a.lo = b.lo
+  && a.hi = b.hi && a.child = b.child && a.term_var = b.term_var
+  && same_bits a.c b.c
+  && same_bits a.term_expt b.term_expt
 
 let n_vars t = t.n_vars
 

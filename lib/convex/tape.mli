@@ -1,22 +1,27 @@
-(** Flat-tape compilation of {!Expr} DAGs with reverse-mode gradients.
+(** Flat instruction tapes with reverse-mode gradients.
 
-    {!Expr.eval_grad} is forward-mode over the DAG: every node carries
-    a dense n-vector and every edge costs an O(n) [axpy], so one
-    gradient is O(n · |DAG|) work and O(|DAG|) heap vectors.  The
-    solver calls it thousands of times per problem, which is what
-    limits the allocator to toy MDGs.
+    A tape is a flat, topologically sorted instruction array over
+    log-space variables: constants, posynomial terms, sums with a
+    constant bias, (optionally scaled) maxima and scales.  Every
+    [Term]'s exponent list is flattened into shared index/exponent
+    arrays.  A reusable {!workspace} holds the per-slot value and
+    adjoint buffers plus a softmax-weight slab (sized when the tape is
+    built) for the smoothed [max].  Evaluation is one forward sweep
+    over the tape; the gradient is a forward sweep followed by a
+    reverse (adjoint) sweep that accumulates scalar adjoints straight
+    into the caller's output vector — O(|tape|) total, with zero heap
+    allocation once the workspace exists.
 
-    [compile] walks the DAG once and emits a flat, topologically
-    sorted instruction array: constant subtrees are folded, constant
-    summands are fused into a per-[Sum] bias, and every [Term]'s
-    exponent list is flattened into shared index/exponent arrays.  A
-    reusable {!workspace} holds the per-slot value and adjoint buffers
-    plus a softmax-weight slab (sized at compile time) for the
-    smoothed [max].  Evaluation is one forward sweep over the tape;
-    the gradient is a forward sweep followed by a reverse (adjoint)
-    sweep that accumulates scalar adjoints straight into the caller's
-    output vector — O(|tape|) total, with zero heap allocation once
-    the workspace exists.
+    Two front ends write tapes through one {!Builder}:
+    - {!compile} walks an {!Expr} DAG once: constant subtrees are
+      folded, constant summands are fused into a per-[Sum] bias,
+      single-use sums are spliced into their parent and scales are
+      fused into single-use terms and maxima.
+    - [Core.Allocation.objective_tape] writes the allocation
+      objective straight from the MDG, with no DAG at all.  Its
+      contract is equality with this module's {!compile} of
+      [Core.Allocation.objective], array for array and bit for bit
+      ({!equal}); the test suite checks it on random and paper graphs.
 
     Semantics match {!Expr.eval} / {!Expr.eval_grad} exactly,
     including the subgradient choice at [mu <= 0] (the first
@@ -31,8 +36,48 @@ type workspace
 (** Mutable evaluation buffers for one tape.  Not thread-safe; create
     one workspace per concurrent evaluator. *)
 
+(** Append-only tape construction.  Each call appends one slot (after
+    its term or child segment) and returns the slot's index; children
+    must already exist, so a tape is built children-first. *)
+module Builder : sig
+  type tape := t
+
+  type t
+
+  val create : unit -> t
+
+  val const : t -> float -> int
+  (** A constant slot.  Equal values (by [compare]) share one slot. *)
+
+  val term : t -> float -> (int * float) array -> int
+  (** [term b coeff expts] is [coeff · exp(Σ a·x_i)] over [expts], given
+      in ascending variable order as {!Expr} keeps them (the tape stores
+      them reversed). *)
+
+  val sum : t -> float -> int list -> int
+  (** [sum b bias kids] is [bias + Σ kids], with [kids] in reverse
+      construction order (the order a cons-accumulating walk produces,
+      and the order stored).  A zero-bias sum of one child is that
+      child: no slot is added. *)
+
+  val max : t -> float -> int list -> int
+  (** [max b f kids] is [f · max kids] (smoothed at [mu > 0]), [kids]
+      in construction order. *)
+
+  val scale : t -> float -> int -> int
+  (** [scale b f s] is [f · s]. *)
+
+  val finish : t -> root:int -> tape
+  (** The finished tape, rooted at slot [root].  {!n_vars} is one more
+      than the highest variable of any term. *)
+end
+
 val compile : Expr.t -> t
 (** One-shot compilation of the DAG reachable from the root. *)
+
+val equal : t -> t -> bool
+(** Same instructions, segments, constants (bit for bit), variable
+    count and root. *)
 
 val create_workspace : t -> workspace
 (** Fresh buffers sized for the tape.  All subsequent [eval] /

@@ -23,6 +23,24 @@ type result = {
   solver : Convex.Solver.result;
 }
 
+(** {1 The objective}
+
+    The plan path never builds an expression: {!objective_tape} writes
+    the objective's flat tape straight from the graph, and {!solve}
+    runs on it.  The {!Convex.Expr} builders below are the reference
+    implementation — the [`Reference] engine, {!evaluate} and the test
+    suite's equality check use them. *)
+
+val objective_tape :
+  Costmodel.Params.t -> Mdg.Graph.t -> procs:int -> Convex.Tape.t
+(** The tape of Φ, emitted in one walk over the normalised graph.  Its
+    contract is equality with the compiled reference:
+    [Convex.Tape.equal (objective_tape params g ~procs)
+    (Convex.Tape.compile (objective params g ~procs))], array for array
+    and bit for bit, so every Φ and solver count is the same on either
+    path.  Raises exactly where {!objective} does, with the same
+    [Invalid_argument] (or [Not_found] for a missing calibration). *)
+
 val objective :
   Costmodel.Params.t -> Mdg.Graph.t -> procs:int -> Convex.Expr.t
 (** The convex expression for Φ, with variable [i] = [ln pᵢ].  The
@@ -58,15 +76,17 @@ val solve :
     near-stationary for the next problem, letting the solver skip its
     annealing stages — see {!Convex.Solver.solve}.
 
-    [engine] (default [`Tape]) selects the objective evaluator: the
-    objective is compiled once to a flat tape ({!Convex.Tape}) that
-    drives every solver iteration and the exact Φ evaluation;
+    [engine] (default [`Tape]) selects the objective evaluator:
+    [`Tape] emits the objective's tape ({!objective_tape}) and solves
+    it with {!Convex.Solver.solve_compiled}, which drives every solver
+    iteration and the exact Φ evaluation, and reads A_p and C_p off
+    the root max's branches — no {!Convex.Expr} node is built;
     [`Precompiled c] reuses an existing compilation of {e this exact
     problem's} objective (the plan cache's tape path — the caller is
     responsible for the key discipline, see {!Plan_cache});
-    [`Reference] is the original DAG-walking {!Convex.Expr.eval_grad}
-    path (orders of magnitude slower on large MDGs; kept for
-    cross-checking). *)
+    [`Reference] builds the expression DAG and runs the original
+    DAG-walking {!Convex.Expr.eval_grad} path (orders of magnitude
+    slower on large MDGs; kept for cross-checking). *)
 
 val evaluate :
   Costmodel.Params.t -> Mdg.Graph.t -> procs:int -> alloc:float array -> float

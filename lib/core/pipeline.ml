@@ -161,8 +161,8 @@ let solve_cached config cache (req : request) g =
       let run_miss () =
         let compiled, tape_use =
           Plan_cache.tape cache key ~compile:(fun () ->
-              Convex.Solver.compile ~obs
-                (Allocation.objective req.params g ~procs:req.procs))
+              Convex.Solver.compile_tape ~obs (fun () ->
+                  Allocation.objective_tape req.params g ~procs:req.procs))
         in
         let solve ?x0 () =
           Allocation.solve ~options:config.solver_options

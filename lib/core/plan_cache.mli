@@ -5,9 +5,9 @@
     constants and machine sizes.  Two caches amortise that repetition:
 
     - the {b tape cache} maps [(structural hash, cost fingerprint,
-      procs)] to the objective's compiled instruction tape
-      ({!Convex.Solver.compile}), so repeated requests skip the
-      Expr-DAG construction-to-tape compilation;
+      procs)] to the objective's instruction tape
+      ({!Allocation.objective_tape} under {!Convex.Solver.compile_tape}),
+      so repeated requests skip the tape emission;
     - the {b warm-start cache} maps the same key (exactly) and its
       shape projection [(structural hash, procs)] (approximately) to
       the last optimum found.  An exact duplicate is answered with the

@@ -11,9 +11,13 @@ let null = Sink.null
 
 let enabled = Sink.enabled
 
-let epoch = Unix.gettimeofday ()
+external monotonic : unit -> (float[@unboxed])
+  = "paradigm_obs_monotonic" "paradigm_obs_monotonic_unboxed"
+[@@noalloc]
 
-let now () = Unix.gettimeofday () -. epoch
+let epoch = monotonic ()
+
+let now () = monotonic () -. epoch
 
 let emit = Sink.emit
 

@@ -37,7 +37,10 @@ val null : t
 val enabled : t -> bool
 
 val now : unit -> float
-(** Wall-clock seconds since the telemetry epoch (process start). *)
+(** Seconds since the telemetry epoch (process start) on the
+    monotonic clock: readings never decrease, whatever happens to the
+    wall clock, so span durations are never negative.  The one timing
+    source for spans and the plan server's latency histograms. *)
 
 val emit : t -> Events.t -> unit
 

@@ -64,19 +64,22 @@ type reader = {
   fd : Unix.file_descr;
   chunk : Bytes.t;
   pending : Buffer.t;  (* bytes read but not yet terminated by '\n' *)
-  mutable lines : string list;  (* complete lines, oldest first *)
+  lines : string Queue.t;  (* complete lines, oldest first *)
 }
 
 let make_reader fd =
   Unix.setsockopt_float fd Unix.SO_RCVTIMEO poll_interval;
-  { fd; chunk = Bytes.create 65536; pending = Buffer.create 256; lines = [] }
+  {
+    fd;
+    chunk = Bytes.create 65536;
+    pending = Buffer.create 256;
+    lines = Queue.create ();
+  }
 
 let rec read_line r =
-  match r.lines with
-  | line :: rest ->
-      r.lines <- rest;
-      Line line
-  | [] -> (
+  match Queue.take_opt r.lines with
+  | Some line -> Line line
+  | None -> (
       match Unix.read r.fd r.chunk 0 (Bytes.length r.chunk) with
       | 0 ->
           (* A partial trailing line is still a request: it will fail
@@ -94,7 +97,7 @@ let rec read_line r =
                 Buffer.add_subbytes r.pending r.chunk start (nl - start);
                 let line = Buffer.contents r.pending in
                 Buffer.clear r.pending;
-                r.lines <- r.lines @ [ line ];
+                Queue.add line r.lines;
                 split (nl + 1)
             | _ -> Buffer.add_subbytes r.pending r.chunk start (n - start)
           in
@@ -186,7 +189,7 @@ let record_latency t ~op dt_ms =
       t.latency.(op).(!b) <- t.latency.(op).(!b) + 1)
 
 let answer t line =
-  let t0 = Unix.gettimeofday () in
+  let t0 = Obs.now () in
   let op, reply =
     match Protocol.decode_request line with
     | Error (id, msg) ->
@@ -201,7 +204,7 @@ let answer t line =
               Protocol.error_reply ~id ~kind:"internal_error"
                 (Printexc.to_string exn) ))
   in
-  record_latency t ~op (1e3 *. (Unix.gettimeofday () -. t0));
+  record_latency t ~op (1e3 *. (Obs.now () -. t0));
   Atomic.incr t.served;
   Json.to_string reply
 

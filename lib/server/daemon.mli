@@ -40,7 +40,8 @@
     in addition to the pipeline's own spans and cache counters
     (["pipeline.cache"] now carries a [coalesced] flag).  The [stats]
     op and {!server_stats} expose queue depth, shed counts and per-op
-    latency histograms. *)
+    latency histograms, timed on {!Obs.now}'s monotonic clock like the
+    spans. *)
 
 type options = {
   addr : string;  (** listen address, default ["127.0.0.1"] *)

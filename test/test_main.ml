@@ -6,6 +6,7 @@ let () =
       ("numeric", Test_numeric.suite);
       ("convex", Test_convex.suite);
       ("tape", Test_tape.suite);
+      ("emit", Test_emit.suite);
       ("hvp", Test_hvp.suite);
       ("solver-prop", Test_solver_prop.suite);
       ("bounds-prop", Test_bounds_prop.suite);

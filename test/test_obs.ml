@@ -340,6 +340,39 @@ let test_summary () =
   | rows -> Alcotest.failf "expected 3 rows, got %d" (List.length rows)
 
 (* ------------------------------------------------------------------ *)
+(* Clock                                                               *)
+(* ------------------------------------------------------------------ *)
+
+let test_monotonic_clock () =
+  let prev = ref (Obs.now ()) in
+  for _ = 1 to 100_000 do
+    let t = Obs.now () in
+    if t < !prev then
+      Alcotest.failf "Obs.now went back: %.9f after %.9f" t !prev;
+    prev := t
+  done;
+  (* Every span of a traced plan has a non-negative duration. *)
+  let recorder = Obs.Recorder.create () in
+  let config =
+    Core.Pipeline.(default_config |> with_obs (Obs.Recorder.sink recorder))
+  in
+  let g =
+    Workgen.generate (Workgen.spec_of_string_exn "depth=2,branch=2") ~seed:3
+  in
+  let params = Costmodel.Params.make ~transfer:Costmodel.Params.cm5_transfer in
+  ignore (Core.Pipeline.plan_exn ~config params g ~procs:16);
+  let spans =
+    List.filter_map
+      (function E.Complete { name; dur; _ } -> Some (name, dur) | _ -> None)
+      (Obs.Recorder.events recorder)
+  in
+  Alcotest.(check bool) "spans recorded" true (spans <> []);
+  List.iter
+    (fun (name, dur) ->
+      if dur < 0.0 then Alcotest.failf "span %s has duration %g" name dur)
+    spans
+
+(* ------------------------------------------------------------------ *)
 (* Traced pipeline regression                                          *)
 (* ------------------------------------------------------------------ *)
 
@@ -484,6 +517,8 @@ let suite =
     Alcotest.test_case "jsonl lines well-formed" `Quick test_jsonl;
     Alcotest.test_case "jsonl sink streams" `Quick test_jsonl_sink_streams;
     Alcotest.test_case "summary aggregates" `Quick test_summary;
+    Alcotest.test_case "clock is monotonic, spans non-negative" `Quick
+      test_monotonic_clock;
     Alcotest.test_case "traced strassen2 validates" `Slow
       test_traced_strassen2_pipeline;
     Alcotest.test_case "solver counters add up to the result" `Slow

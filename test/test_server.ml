@@ -179,6 +179,31 @@ let test_server_malformed_line () =
   | Error msg -> Alcotest.failf "unparseable reply: %s" msg);
   get (Client.ping c)
 
+(* Pipelined requests: one write carrying 4,000 ping lines lands in the
+   server's 64 KiB reads several thousand lines at a time, and every
+   line must be answered, in order. *)
+let test_server_pipelined_pings () =
+  with_server @@ fun srv ->
+  with_client srv @@ fun c ->
+  let n = 4000 in
+  let batch =
+    String.concat "\n"
+      (List.init n (fun i -> Printf.sprintf "{\"op\":\"ping\",\"id\":%d}" i))
+  in
+  (* Written from a second domain: the replies can fill the socket
+     buffers before the write returns. *)
+  let writer = Domain.spawn (fun () -> Client.send_line c batch) in
+  for i = 0 to n - 1 do
+    match Protocol.decode_reply (get (Client.recv_line c)) with
+    | Ok (id, Protocol.Pong) ->
+        Alcotest.(check string)
+          "pongs in request order" (Json.to_string (Json.int i))
+          (Json.to_string id)
+    | Ok _ -> Alcotest.failf "line %d: expected a pong" i
+    | Error msg -> Alcotest.failf "line %d: unparseable reply: %s" i msg
+  done;
+  Domain.join writer
+
 let test_server_typed_errors () =
   with_server @@ fun srv ->
   with_client srv @@ fun c ->
@@ -415,6 +440,8 @@ let suite =
       test_server_plan;
     Alcotest.test_case "server: malformed line gets typed reply" `Quick
       test_server_malformed_line;
+    Alcotest.test_case "server: 4,000 pipelined pings answered in order"
+      `Quick test_server_pipelined_pings;
     Alcotest.test_case "server: typed pipeline errors" `Quick
       test_server_typed_errors;
     Alcotest.test_case "server: caches visible over the wire" `Quick
