@@ -14,7 +14,7 @@ test:
 # Soak run for the property suites: every QCheck case count is
 # multiplied by PARADIGM_QCHECK_MULT (see test/generators.ml), so the
 # random-workload properties see 10x the cases.  The nightly CI job
-# runs this under both PARADIGM_DOMAINS=1 and =4.
+# runs this.
 test-long:
 	PARADIGM_QCHECK_MULT=10 dune runtest --force
 

@@ -19,21 +19,7 @@ type options = {
   newton_max_iters : int;
   cg_max_iters : int;
   precondition : bool;
-  domains : int;
 }
-
-(* Default domain count for the parallel tape sweeps: the
-   PARADIGM_DOMAINS environment variable (0 = one domain per
-   recommended core), else serial.  An env default keeps the knob
-   reachable from every entry point — CI runs the whole suite at
-   PARADIGM_DOMAINS=4 without threading a flag through. *)
-let default_domains =
-  match Sys.getenv_opt "PARADIGM_DOMAINS" with
-  | Some s -> (
-      match int_of_string_opt (String.trim s) with
-      | Some v when v >= 0 -> v
-      | _ -> 1)
-  | None -> 1
 
 let default_options =
   {
@@ -49,7 +35,6 @@ let default_options =
     newton_max_iters = 20;
     cg_max_iters = 8;
     precondition = true;
-    domains = default_domains;
   }
 
 type result = {
@@ -101,12 +86,6 @@ let check_box name lo hi =
   done
 
 let clamp1 lo hi v = if v < lo then lo else if v > hi then hi else v
-
-(* Minimum tape size before the solver routes full-tape sweeps through
-   a domain pool: below this the fork-join handoff costs more than the
-   sweep.  (Per-level splitting has its own finer threshold inside
-   {!Tape}.) *)
-let parallel_cutoff = 1024
 
 (* One stage of accelerated projected gradient descent (FISTA with
    function-value restart) with Armijo backtracking, at a fixed
@@ -672,43 +651,8 @@ let solve_tape ~options ~obs ?x0 name c ~lo ~hi =
     invalid_arg (name ^ ": tape references variables outside the box");
   let x = start_point name ?x0 lo hi in
   let g = Vec.create n 0.0 in
-  (* Parallel level-scheduled sweeps for the full-tape paths (FISTA,
-     line-search probes, Newton gradients) when the caller asked for
-     domains and the tape is big enough to amortise the fork-join
-     handoff.  The CG's HVPs stay on the masked serial path: they touch
-     only the live fraction of the tape, which is usually below the
-     cutoff anyway. *)
-  let nd =
-    if options.domains = 0 then Domain.recommended_domain_count ()
-    else options.domains
-  in
-  (* Checked out per solve — concurrent solves (the plan server's
-     worker domains) must not share a pool, whose job state is
-     single-job — and released when this solve returns. *)
-  let pool =
-    if nd > 1 && Tape.num_slots c.tape >= parallel_cutoff then begin
-      if Obs.enabled obs then
-        Obs.counter obs "solver.parallel_tape"
-          [
-            ("domains", float_of_int nd);
-            ("slots", float_of_int (Tape.num_slots c.tape));
-            ("levels", float_of_int (Tape.num_levels c.tape));
-          ];
-      Some (Numeric.Domain_pool.acquire ~size:nd)
-    end
-    else None
-  in
-  Fun.protect ~finally:(fun () -> Option.iter Numeric.Domain_pool.release pool)
-  @@ fun () ->
-  let f, fg =
-    match pool with
-    | Some pool ->
-        ( (fun ~mu x -> Tape.eval_pool ~mu c.tape pool c.ws x),
-          fun ~mu x -> Tape.eval_grad_pool ~mu c.tape pool c.ws ~x ~grad:g )
-    | None ->
-        ( (fun ~mu x -> Tape.eval ~mu c.tape c.ws x),
-          fun ~mu x -> Tape.eval_grad ~mu c.tape c.ws ~x ~grad:g )
-  in
+  let f ~mu x = Tape.eval ~mu c.tape c.ws x in
+  let fg ~mu x = Tape.eval_grad ~mu c.tape c.ws ~x ~grad:g in
   let so =
     {
       so_mask = (fun ~mu ~free -> Tape.hvp_mask ~mu c.tape c.ws ~free);
@@ -747,31 +691,3 @@ let solve ?(options = default_options) ?(engine = Tape) ?(obs = Obs.null) ?x0
           Array.blit g' 0 g 0 n;
           v)
         ~so:None
-
-let golden_section ?(tol = 1e-9) ~f ~lo ~hi () =
-  if hi < lo then invalid_arg "Solver.golden_section: hi < lo";
-  if hi -. lo <= tol then (lo +. hi) /. 2.0
-  else begin
-    let phi = (sqrt 5.0 -. 1.0) /. 2.0 in
-    let a = ref lo and b = ref hi in
-    let c = ref (!b -. (phi *. (!b -. !a))) in
-    let d = ref (!a +. (phi *. (!b -. !a))) in
-    let fc = ref (f !c) and fd = ref (f !d) in
-    while !b -. !a > tol do
-      if !fc < !fd then begin
-        b := !d;
-        d := !c;
-        fd := !fc;
-        c := !b -. (phi *. (!b -. !a));
-        fc := f !c
-      end
-      else begin
-        a := !c;
-        c := !d;
-        fc := !fd;
-        d := !a +. (phi *. (!b -. !a));
-        fd := f !d
-      end
-    done;
-    (!a +. !b) /. 2.0
-  end

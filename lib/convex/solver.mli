@@ -30,11 +30,11 @@
     iteration count at tight smoothing temperatures from hundreds to a
     handful.  At mu = 0 the masked HVP is the generalised Hessian of
     the active piece, and the projected-Newton polish is what pushes a
-    stalled first-order anneal the last ~1e-3 to the optimum.  Large
-    tapes can additionally run every full-tape sweep on several OCaml
-    domains ({!options.domains}), bit-identically to the serial sweep.
-    The [Reference] engine has no second-order oracle and keeps the
-    pure first-order behaviour.
+    stalled first-order anneal the last ~1e-3 to the optimum.  Every
+    sweep runs serially on the calling domain; concurrent solves
+    parallelise across domains, one {!compiled} workspace each
+    ({!share_tape}).  The [Reference] engine has no second-order
+    oracle and keeps the pure first-order behaviour.
 
     Supplying a starting point [x0] warm-starts the solve; when an
     Armijo-probed gradient step at the tightest smoothing temperature
@@ -73,13 +73,6 @@ type options = {
           tape's Gauss–Newton Hessian diagonal ({!Tape.hess_diag},
           clamped by {!Precond.jacobi_clamp}).  On by default; with it
           off the identity diagonal reproduces plain CG bit for bit. *)
-  domains : int;
-      (** domains for the parallel level-scheduled tape sweeps
-          ({!Tape.eval_pool} and friends) on tapes of at least ~1000
-          slots.  1 = serial (the sweeps are then exactly the serial
-          ones); 0 = one per recommended core; parallel results are
-          bit-identical to serial either way.  Defaults to the
-          [PARADIGM_DOMAINS] environment variable, else 1. *)
 }
 
 val default_options : options
@@ -188,8 +181,3 @@ val solve :
     stage and the exact polish to full tolerance.  (An exact duplicate
     of an earlier plan request never reaches the solver at all: the
     plan cache answers it with the stored result.) *)
-
-val golden_section :
-  ?tol:float -> f:(float -> float) -> lo:float -> hi:float -> unit -> float
-(** Minimiser of a unimodal function on [lo, hi] by golden-section
-    search (used for one-dimensional calibration problems). *)

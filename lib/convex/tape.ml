@@ -18,27 +18,6 @@ let op_max = 3
 
 let op_scale = 4
 
-(* Level schedule and transpose of the instruction array, built once
-   per tape on first use (parallel sweeps and masked HVPs share it).
-   Slots of level l occupy level_slots.[level_off.(l), level_off.(l+1))
-   in ascending slot order; slots within a level are mutually
-   independent.  [pin_*] is the transpose: the incoming (parent) edges
-   of every slot, ordered by descending parent so a gather reproduces
-   the serial reverse sweep's per-cell accumulation order exactly.
-   [vin_*] is the same transpose for the (term slot, entry) pairs
-   feeding each variable's gradient component. *)
-type plan = {
-  level_off : int array;  (* n_levels + 1 *)
-  level_slots : int array;  (* num_slots, grouped by level *)
-  fan : bool array;  (* per level: wide enough to split across domains *)
-  pin_off : int array;  (* num_slots + 1 *)
-  par_slot : int array;  (* parent slot, descending per child *)
-  par_edge : int array;  (* index into [child]/[w], or -1 for scale *)
-  vin_off : int array;  (* n_vars + 1 *)
-  vterm_slot : int array;  (* term slot, descending per variable *)
-  vterm_entry : int array;  (* index into [term_var]/[term_expt] *)
-}
-
 type t = {
   n_vars : int;
   root : int;
@@ -49,7 +28,6 @@ type t = {
   term_var : int array;
   term_expt : float array;
   child : int array;
-  plan : plan option Atomic.t;  (* built lazily; Atomic for publication *)
 }
 
 type workspace = {
@@ -71,8 +49,6 @@ type workspace = {
   mutable n_union : int;
   union : int array;  (* [active] plus adjoint-tangent-reachable slots *)
   flags : Bytes.t;  (* scratch: bit0 = active, bit1 = adjoint-tangent *)
-  mutable bar : Numeric.Domain_pool.barrier option;  (* parallel sweeps *)
-  mutable bar_parties : int;
 }
 
 (* The builder writes slots and their term/child segments straight into
@@ -203,7 +179,6 @@ module Builder = struct
       term_var = Array.sub b.term_var 0 b.nentries;
       term_expt = Array.sub b.term_expt 0 b.nentries;
       child = Array.sub b.child 0 b.nchildren;
-      plan = Atomic.make None;
     }
 end
 
@@ -465,8 +440,6 @@ let create_workspace t =
     n_union = 0;
     union = Array.make n 0;
     flags = Bytes.make n '\000';
-    bar = None;
-    bar_parties = 0;
   }
 
 let check_dim name t x =
@@ -523,10 +496,10 @@ let forward ~mu ~weights t ws x =
     end
     else if o = op_max then begin
       v.%(k) <- neg_infinity;
-      (* Record the first maximising branch: the masked-HVP path and
-         the parallel reverse gather replay the subgradient tie-break
-         from [sel] instead of rescanning.  (Workspace cells, not
-         refs, keep the sweep allocation-free without flambda.) *)
+      (* Record the first maximising branch: the reverse sweeps and
+         the masked-HVP path replay the subgradient tie-break from
+         [sel] instead of rescanning.  (Workspace cells, not refs,
+         keep the sweep allocation-free without flambda.) *)
       sel.%(k) <- -1;
       for j = loa.%(k) to hia.%(k) - 1 do
         if v.%(ch.%(j)) > v.%(k) then begin
@@ -785,485 +758,6 @@ let eval_grad ?(mu = 0.0) t ws ~x ~grad =
   value
 
 (* ------------------------------------------------------------------ *)
-(* Level schedule and transpose                                        *)
-(* ------------------------------------------------------------------ *)
-
-module Domain_pool = Numeric.Domain_pool
-
-(* Minimum slots in a level before it is split across domains; below
-   this the handoff costs more than the work. *)
-let par_threshold = 64
-
-let build_plan t =
-  let n = Array.length t.op in
-  let level = Array.make (Int.max 1 n) 0 in
-  let max_level = ref 0 in
-  for k = 0 to n - 1 do
-    let o = t.op.(k) in
-    let l =
-      if o = op_sum || o = op_max then begin
-        let m = ref (-1) in
-        for j = t.lo.(k) to t.hi.(k) - 1 do
-          if level.(t.child.(j)) > !m then m := level.(t.child.(j))
-        done;
-        !m + 1
-      end
-      else if o = op_scale then level.(t.lo.(k)) + 1
-      else 0
-    in
-    level.(k) <- l;
-    if l > !max_level then max_level := l
-  done;
-  let nl = !max_level + 1 in
-  let level_off = Array.make (nl + 1) 0 in
-  for k = 0 to n - 1 do
-    level_off.(level.(k) + 1) <- level_off.(level.(k) + 1) + 1
-  done;
-  for l = 0 to nl - 1 do
-    level_off.(l + 1) <- level_off.(l + 1) + level_off.(l)
-  done;
-  let level_slots = Array.make (Int.max 1 n) 0 in
-  let cursor = Array.sub level_off 0 nl in
-  for k = 0 to n - 1 do
-    let l = level.(k) in
-    level_slots.(cursor.(l)) <- k;
-    cursor.(l) <- cursor.(l) + 1
-  done;
-  let fan =
-    Array.init nl (fun l -> level_off.(l + 1) - level_off.(l) >= par_threshold)
-  in
-  (* Transpose: incoming (parent, edge) pairs per slot, parents
-     descending and edges ascending within a parent, so a gather adds
-     contributions in exactly the serial reverse sweep's order. *)
-  let pin_off = Array.make (n + 1) 0 in
-  for k = 0 to n - 1 do
-    let o = t.op.(k) in
-    if o = op_sum || o = op_max then
-      for j = t.lo.(k) to t.hi.(k) - 1 do
-        let ch = t.child.(j) in
-        pin_off.(ch + 1) <- pin_off.(ch + 1) + 1
-      done
-    else if o = op_scale then begin
-      let ch = t.lo.(k) in
-      pin_off.(ch + 1) <- pin_off.(ch + 1) + 1
-    end
-  done;
-  for k = 0 to n - 1 do
-    pin_off.(k + 1) <- pin_off.(k + 1) + pin_off.(k)
-  done;
-  let ne = pin_off.(n) in
-  let par_slot = Array.make (Int.max 1 ne) 0 in
-  let par_edge = Array.make (Int.max 1 ne) 0 in
-  let cur = Array.sub pin_off 0 (Int.max 1 n) in
-  for k = n - 1 downto 0 do
-    let o = t.op.(k) in
-    if o = op_sum || o = op_max then
-      for j = t.lo.(k) to t.hi.(k) - 1 do
-        let ch = t.child.(j) in
-        par_slot.(cur.(ch)) <- k;
-        par_edge.(cur.(ch)) <- j;
-        cur.(ch) <- cur.(ch) + 1
-      done
-    else if o = op_scale then begin
-      let ch = t.lo.(k) in
-      par_slot.(cur.(ch)) <- k;
-      par_edge.(cur.(ch)) <- -1;
-      cur.(ch) <- cur.(ch) + 1
-    end
-  done;
-  (* Same transpose for gradient components: the (term slot, entry)
-     pairs feeding each variable, slots descending. *)
-  let nv = t.n_vars in
-  let vin_off = Array.make (nv + 1) 0 in
-  Array.iter (fun i -> vin_off.(i + 1) <- vin_off.(i + 1) + 1) t.term_var;
-  for i = 0 to nv - 1 do
-    vin_off.(i + 1) <- vin_off.(i + 1) + vin_off.(i)
-  done;
-  let nt = vin_off.(nv) in
-  let vterm_slot = Array.make (Int.max 1 nt) 0 in
-  let vterm_entry = Array.make (Int.max 1 nt) 0 in
-  let curv = Array.sub vin_off 0 (Int.max 1 nv) in
-  for k = n - 1 downto 0 do
-    if t.op.(k) = op_term then
-      for j = t.lo.(k) to t.hi.(k) - 1 do
-        let i = t.term_var.(j) in
-        vterm_slot.(curv.(i)) <- k;
-        vterm_entry.(curv.(i)) <- j;
-        curv.(i) <- curv.(i) + 1
-      done
-  done;
-  { level_off; level_slots; fan; pin_off; par_slot; par_edge; vin_off;
-    vterm_slot; vterm_entry }
-
-let plan_of t =
-  match Atomic.get t.plan with
-  | Some p -> p
-  | None -> (
-      let p = build_plan t in
-      (* A concurrent build produces an identical plan; first publisher
-         wins and the loser's copy is dropped. *)
-      if Atomic.compare_and_set t.plan None (Some p) then p
-      else match Atomic.get t.plan with Some p' -> p' | None -> p)
-
-let num_levels t = Array.length (plan_of t).level_off - 1
-
-let get_barrier ws nd =
-  match ws.bar with
-  | Some b when ws.bar_parties = nd -> b
-  | _ ->
-      let b = Domain_pool.barrier nd in
-      ws.bar <- Some b;
-      ws.bar_parties <- nd;
-      b
-
-(* Run one barrier-synchronised pool job.  A participant that raises
-   poisons the barrier so its siblings drain out of their waits instead
-   of blocking forever on a party that will never arrive; [run] then
-   re-raises the participant's error here, and the (now single-use)
-   poisoned barrier is dropped from the workspace so the next sweep
-   builds a fresh one. *)
-let run_barrier_job pool ws bar job =
-  try
-    Domain_pool.run pool (fun di ->
-        try job di
-        with exn ->
-          Domain_pool.poison bar;
-          raise exn)
-  with exn ->
-    ws.bar <- None;
-    raise exn
-
-(* Iterate the plan's levels inside a pool job.  Narrow levels run
-   whole on participant 0; wide ([fan]) levels are chunked evenly
-   across participants, with a barrier before them (when following
-   participant-0-only work, whose writes must become visible) and one
-   after.  Consecutive narrow levels need no barrier: only participant
-   0 touches them.  [prev] threads the "previous level was fanned"
-   flag across the phases of one job so phase boundaries follow the
-   same rule; every participant executes the same control flow, so
-   barrier counts always agree. *)
-let sweep_levels plan bar nd di ~descending ~prev body =
-  let nl = Array.length plan.level_off - 1 in
-  let prev_fan = ref prev in
-  for step = 0 to nl - 1 do
-    let l = if descending then nl - 1 - step else step in
-    let lo = plan.level_off.(l) and hi = plan.level_off.(l + 1) in
-    if plan.fan.(l) then begin
-      if not !prev_fan then Domain_pool.await bar;
-      let chunk = (hi - lo + nd - 1) / nd in
-      let a = lo + (di * chunk) in
-      let b = Int.min hi (a + chunk) in
-      if a < b then body a b;
-      Domain_pool.await bar;
-      prev_fan := true
-    end
-    else begin
-      if di = 0 then body lo hi;
-      prev_fan := false
-    end
-  done;
-  !prev_fan
-
-(* The per-variable gather phase, same barrier protocol as one level. *)
-let var_phase bar nd di ~prev ~count body =
-  if count >= par_threshold then begin
-    if not prev then Domain_pool.await bar;
-    let chunk = (count + nd - 1) / nd in
-    let a = di * chunk in
-    let b = Int.min count (a + chunk) in
-    if a < b then body a b;
-    Domain_pool.await bar
-  end
-  else if di = 0 then body 0 count
-
-(* ------------------------------------------------------------------ *)
-(* Parallel sweeps                                                     *)
-(* ------------------------------------------------------------------ *)
-
-(* Per-slot forward step, bit-identical to the loop body of {!forward}
-   but with local accumulators (the [ws.s] scratch cell would race). *)
-let forward_slot ~mu ~weights t ws x k =
-  let v = ws.v and w = ws.w in
-  let o = t.op.(k) in
-  if o = op_term then begin
-    let acc = ref 0.0 in
-    for j = t.lo.(k) to t.hi.(k) - 1 do
-      acc := !acc +. (t.term_expt.(j) *. x.(t.term_var.(j)))
-    done;
-    v.(k) <- t.c.(k) *. exp !acc
-  end
-  else if o = op_sum then begin
-    let acc = ref t.c.(k) in
-    for j = t.lo.(k) to t.hi.(k) - 1 do
-      acc := !acc +. v.(t.child.(j))
-    done;
-    v.(k) <- !acc
-  end
-  else if o = op_max then begin
-    let m = ref neg_infinity and sl = ref (-1) in
-    for j = t.lo.(k) to t.hi.(k) - 1 do
-      if v.(t.child.(j)) > !m then begin
-        m := v.(t.child.(j));
-        sl := j
-      end
-    done;
-    ws.sel.(k) <- !sl;
-    if mu > 0.0 && Float.is_finite !m then begin
-      let s0 = ref 0.0 in
-      for j = t.lo.(k) to t.hi.(k) - 1 do
-        let e = exp ((v.(t.child.(j)) -. !m) /. mu) in
-        if weights then w.(j) <- e;
-        s0 := !s0 +. e
-      done;
-      if weights then
-        for j = t.lo.(k) to t.hi.(k) - 1 do
-          w.(j) <- w.(j) /. !s0
-        done;
-      v.(k) <- t.c.(k) *. (!m +. (mu *. log !s0))
-    end
-    else v.(k) <- t.c.(k) *. !m
-  end
-  else if o = op_scale then v.(k) <- t.c.(k) *. v.(t.lo.(k))
-  else v.(k) <- t.c.(k)
-
-(* Per-slot tangent forward step, mirroring {!forward_tangent}. *)
-let forward_tangent_slot ~mu t ws x dx k =
-  let v = ws.v and w = ws.w and vd = ws.vd and wd = ws.wd in
-  let o = t.op.(k) in
-  if o = op_term then begin
-    let acc = ref 0.0 and accd = ref 0.0 in
-    for j = t.lo.(k) to t.hi.(k) - 1 do
-      acc := !acc +. (t.term_expt.(j) *. x.(t.term_var.(j)));
-      accd := !accd +. (t.term_expt.(j) *. dx.(t.term_var.(j)))
-    done;
-    v.(k) <- t.c.(k) *. exp !acc;
-    vd.(k) <- v.(k) *. !accd
-  end
-  else if o = op_sum then begin
-    let acc = ref t.c.(k) and accd = ref 0.0 in
-    for j = t.lo.(k) to t.hi.(k) - 1 do
-      acc := !acc +. v.(t.child.(j));
-      accd := !accd +. vd.(t.child.(j))
-    done;
-    v.(k) <- !acc;
-    vd.(k) <- !accd
-  end
-  else if o = op_max then begin
-    let m = ref neg_infinity and sl = ref (-1) in
-    for j = t.lo.(k) to t.hi.(k) - 1 do
-      if v.(t.child.(j)) > !m then begin
-        m := v.(t.child.(j));
-        sl := j
-      end
-    done;
-    ws.sel.(k) <- !sl;
-    if mu > 0.0 && Float.is_finite !m then begin
-      let s0 = ref 0.0 in
-      for j = t.lo.(k) to t.hi.(k) - 1 do
-        let e = exp ((v.(t.child.(j)) -. !m) /. mu) in
-        w.(j) <- e;
-        s0 := !s0 +. e
-      done;
-      let d = ref 0.0 in
-      for j = t.lo.(k) to t.hi.(k) - 1 do
-        w.(j) <- w.(j) /. !s0;
-        d := !d +. (w.(j) *. vd.(t.child.(j)))
-      done;
-      for j = t.lo.(k) to t.hi.(k) - 1 do
-        wd.(j) <- w.(j) *. (vd.(t.child.(j)) -. !d) /. mu
-      done;
-      v.(k) <- t.c.(k) *. (!m +. (mu *. log !s0));
-      vd.(k) <- t.c.(k) *. !d
-    end
-    else begin
-      v.(k) <- t.c.(k) *. !m;
-      vd.(k) <- t.c.(k) *. (if !sl >= 0 then vd.(t.child.(!sl)) else 0.0)
-    end
-  end
-  else if o = op_scale then begin
-    v.(k) <- t.c.(k) *. v.(t.lo.(k));
-    vd.(k) <- t.c.(k) *. vd.(t.lo.(k))
-  end
-  else begin
-    v.(k) <- t.c.(k);
-    vd.(k) <- 0.0
-  end
-
-(* Gather the adjoint of slot [k] from its parents (all in higher
-   levels, hence already settled).  Same contributions, same order and
-   same zero-skip guard as the serial scatter in {!eval_grad}. *)
-let adj_gather ~mu t plan ws k =
-  let v = ws.v and adj = ws.adj and w = ws.w in
-  let acc = ref (if k = t.root then 1.0 else 0.0) in
-  for idx = plan.pin_off.(k) to plan.pin_off.(k + 1) - 1 do
-    let p = plan.par_slot.(idx) in
-    let a = adj.(p) in
-    if a <> 0.0 then begin
-      let o = t.op.(p) in
-      if o = op_sum then acc := !acc +. a
-      else if o = op_max then begin
-        if mu > 0.0 && Float.is_finite v.(p) then
-          acc := !acc +. (a *. t.c.(p) *. w.(plan.par_edge.(idx)))
-        else if plan.par_edge.(idx) = rev_sel t ws p then
-          acc := !acc +. (a *. t.c.(p))
-      end
-      else (* op_scale *) acc := !acc +. (a *. t.c.(p))
-    end
-  done;
-  adj.(k) <- !acc
-
-(* Joint adjoint/adjoint-tangent gather, mirroring {!eval_hvp}. *)
-let adjd_gather ~mu t plan ws k =
-  let v = ws.v and adj = ws.adj and w = ws.w in
-  let adjd = ws.adjd and wd = ws.wd in
-  let acc = ref (if k = t.root then 1.0 else 0.0) in
-  let accd = ref 0.0 in
-  for idx = plan.pin_off.(k) to plan.pin_off.(k + 1) - 1 do
-    let p = plan.par_slot.(idx) in
-    let a = adj.(p) in
-    let ad = adjd.(p) in
-    if a <> 0.0 || ad <> 0.0 then begin
-      let o = t.op.(p) in
-      if o = op_sum then begin
-        acc := !acc +. a;
-        accd := !accd +. ad
-      end
-      else if o = op_max then begin
-        let ac = a *. t.c.(p) in
-        let adc = ad *. t.c.(p) in
-        if mu > 0.0 && Float.is_finite v.(p) then begin
-          let j = plan.par_edge.(idx) in
-          acc := !acc +. (ac *. w.(j));
-          accd := !accd +. (adc *. w.(j)) +. (ac *. wd.(j))
-        end
-        else if plan.par_edge.(idx) = rev_sel t ws p then begin
-          acc := !acc +. ac;
-          accd := !accd +. adc
-        end
-      end
-      else begin
-        (* op_scale *)
-        acc := !acc +. (a *. t.c.(p));
-        accd := !accd +. (ad *. t.c.(p))
-      end
-    end
-  done;
-  adj.(k) <- !acc;
-  adjd.(k) <- !accd
-
-let eval_pool ?(mu = 0.0) t pool ws x =
-  check_dim "eval_pool" t x;
-  let nd = Domain_pool.size pool in
-  if nd <= 1 then forward ~mu ~weights:false t ws x
-  else begin
-    let plan = plan_of t in
-    let bar = get_barrier ws nd in
-    run_barrier_job pool ws bar (fun di ->
-        let (_ : bool) =
-          sweep_levels plan bar nd di ~descending:false ~prev:true
-            (fun a b ->
-              for idx = a to b - 1 do
-                forward_slot ~mu ~weights:false t ws x plan.level_slots.(idx)
-              done)
-        in
-        ());
-    ws.v.(t.root)
-  end
-
-let eval_grad_pool ?(mu = 0.0) t pool ws ~x ~grad =
-  check_dim "eval_grad_pool" t x;
-  if Vec.dim grad <> Vec.dim x then
-    invalid_arg "Tape.eval_grad_pool: grad/x dimension mismatch";
-  let nd = Domain_pool.size pool in
-  if nd <= 1 then eval_grad ~mu t ws ~x ~grad
-  else begin
-    let plan = plan_of t in
-    let bar = get_barrier ws nd in
-    Array.fill grad 0 (Vec.dim grad) 0.0;
-    let nv = t.n_vars in
-    run_barrier_job pool ws bar (fun di ->
-        let prev =
-          sweep_levels plan bar nd di ~descending:false ~prev:true
-            (fun a b ->
-              for idx = a to b - 1 do
-                forward_slot ~mu ~weights:true t ws x plan.level_slots.(idx)
-              done)
-        in
-        let prev =
-          sweep_levels plan bar nd di ~descending:true ~prev
-            (fun a b ->
-              for idx = a to b - 1 do
-                adj_gather ~mu t plan ws plan.level_slots.(idx)
-              done)
-        in
-        var_phase bar nd di ~prev ~count:nv (fun a b ->
-            let v = ws.v and adj = ws.adj in
-            for i = a to b - 1 do
-              let acc = ref 0.0 in
-              for idx = plan.vin_off.(i) to plan.vin_off.(i + 1) - 1 do
-                let k = plan.vterm_slot.(idx) in
-                let a = adj.(k) in
-                if a <> 0.0 then
-                  acc :=
-                    !acc +. (a *. t.term_expt.(plan.vterm_entry.(idx)) *. v.(k))
-              done;
-              grad.(i) <- !acc
-            done));
-    ws.v.(t.root)
-  end
-
-let eval_hvp_pool ?(mu = 0.0) t pool ws ~x ~dx ~grad ~hvp =
-  check_dim "eval_hvp_pool" t x;
-  if Vec.dim dx <> Vec.dim x then
-    invalid_arg "Tape.eval_hvp_pool: dx/x dimension mismatch";
-  if Vec.dim grad <> Vec.dim x || Vec.dim hvp <> Vec.dim x then
-    invalid_arg "Tape.eval_hvp_pool: grad/hvp/x dimension mismatch";
-  let nd = Domain_pool.size pool in
-  if nd <= 1 then eval_hvp ~mu t ws ~x ~dx ~grad ~hvp
-  else begin
-    ws.mask_valid <- false;
-    let plan = plan_of t in
-    let bar = get_barrier ws nd in
-    Array.fill grad 0 (Vec.dim grad) 0.0;
-    Array.fill hvp 0 (Vec.dim hvp) 0.0;
-    let nv = t.n_vars in
-    run_barrier_job pool ws bar (fun di ->
-        let prev =
-          sweep_levels plan bar nd di ~descending:false ~prev:true
-            (fun a b ->
-              for idx = a to b - 1 do
-                forward_tangent_slot ~mu t ws x dx plan.level_slots.(idx)
-              done)
-        in
-        let prev =
-          sweep_levels plan bar nd di ~descending:true ~prev
-            (fun a b ->
-              for idx = a to b - 1 do
-                adjd_gather ~mu t plan ws plan.level_slots.(idx)
-              done)
-        in
-        var_phase bar nd di ~prev ~count:nv (fun a b ->
-            let v = ws.v and adj = ws.adj in
-            let vd = ws.vd and adjd = ws.adjd in
-            for i = a to b - 1 do
-              let gacc = ref 0.0 and hacc = ref 0.0 in
-              for idx = plan.vin_off.(i) to plan.vin_off.(i + 1) - 1 do
-                let k = plan.vterm_slot.(idx) in
-                let a = adj.(k) in
-                let ad = adjd.(k) in
-                if a <> 0.0 || ad <> 0.0 then begin
-                  let e = t.term_expt.(plan.vterm_entry.(idx)) in
-                  gacc := !gacc +. (a *. e *. v.(k));
-                  hacc := !hacc +. (e *. ((ad *. v.(k)) +. (a *. vd.(k))))
-                end
-              done;
-              grad.(i) <- !gacc;
-              hvp.(i) <- !hacc
-            done));
-    ws.v.(t.root)
-  end
-
-(* ------------------------------------------------------------------ *)
 (* Masked HVPs on the active face                                      *)
 (* ------------------------------------------------------------------ *)
 
@@ -1496,10 +990,6 @@ let hvp_masked t ws ~x ~dx ~hvp =
       (* op_const: nothing *)
     end
   done
-
-let mask_active ws = ws.n_active
-
-let mask_union ws = ws.n_union
 
 (* ------------------------------------------------------------------ *)
 (* Gauss–Newton diagonal                                               *)

@@ -10,7 +10,9 @@
     over the tape; the gradient is a forward sweep followed by a
     reverse (adjoint) sweep that accumulates scalar adjoints straight
     into the caller's output vector — O(|tape|) total, with zero heap
-    allocation once the workspace exists.
+    allocation once the workspace exists.  Every sweep runs serially
+    on the calling domain; concurrent evaluators share one tape, each
+    through its own workspace.
 
     Two front ends write tapes through one {!Builder}:
     - {!compile} walks an {!Expr} DAG once: constant subtrees are
@@ -136,52 +138,11 @@ val eval_hvp :
     Hessian-vector product.  With [mu <= 0] the objective is piecewise
     smooth; [hvp] is the Hessian of the currently active piece (each
     max differentiates through its first maximising branch, matching
-    the subgradient tie-break), which is the generalised Hessian used
-    by the solver's final polishing stage. *)
+    the subgradient tie-break).
 
-(** {1 Parallel level-scheduled sweeps}
-
-    The tape's topological order induces a level schedule: slots of
-    equal depth are mutually independent, so each level can be swept
-    by several OCaml domains at once.  The reverse sweeps are
-    parallelised by {e gathering} each slot's adjoint from its parents
-    (via a transpose built once per tape) instead of scattering, with
-    the incoming edges ordered so every per-slot accumulation replays
-    the serial sweep's additions in the same order — results are
-    bit-identical to the serial entry points.  Narrow levels run on
-    the calling domain only, so small tapes pay one pool handoff and
-    nothing else; with a pool of size 1 these are exactly the serial
-    sweeps. *)
-
-val num_levels : t -> int
-(** Depth of the level schedule (longest instruction chain).  Builds
-    the schedule on first use; the plan is cached in the tape. *)
-
-val eval_pool :
-  ?mu:float -> t -> Numeric.Domain_pool.t -> workspace -> Numeric.Vec.t -> float
-(** {!eval} swept by the pool's domains, bit-identical to {!eval}. *)
-
-val eval_grad_pool :
-  ?mu:float ->
-  t ->
-  Numeric.Domain_pool.t ->
-  workspace ->
-  x:Numeric.Vec.t ->
-  grad:Numeric.Vec.t ->
-  float
-(** {!eval_grad} swept by the pool's domains, bit-identical to it. *)
-
-val eval_hvp_pool :
-  ?mu:float ->
-  t ->
-  Numeric.Domain_pool.t ->
-  workspace ->
-  x:Numeric.Vec.t ->
-  dx:Numeric.Vec.t ->
-  grad:Numeric.Vec.t ->
-  hvp:Numeric.Vec.t ->
-  float
-(** {!eval_hvp} swept by the pool's domains, bit-identical to it. *)
+    This dense product over the whole tape is the reference for
+    {!hvp_masked}, which must agree with it on the free coordinates;
+    the solver does not call it. *)
 
 (** {1 Masked Hessian-vector products}
 
@@ -217,12 +178,6 @@ val hvp_masked :
 (** Overwrite [hvp] with [H(x)·dx] restricted to the mask's free
     coordinates.  [x] must be the point of the preparing
     {!eval_grad}.  O(active ∪ reachable) per call. *)
-
-val mask_active : workspace -> int
-(** Slots swept by the masked forward tangent (diagnostics). *)
-
-val mask_union : workspace -> int
-(** Slots swept by the masked reverse pass (diagnostics). *)
 
 val hess_diag : t -> workspace -> diag:Numeric.Vec.t -> unit
 (** Overwrite [diag] with the Gauss–Newton diagonal of the Hessian at

@@ -273,11 +273,6 @@ let test_solver_empty_box_rejected () =
     (fun () ->
       ignore (Solver.solve { objective = e; lo = [| 1.0 |]; hi = [| 0.0 |] }))
 
-let test_golden_section () =
-  let f x = ((x -. 1.7) ** 2.0) +. 3.0 in
-  let x = Solver.golden_section ~f ~lo:(-10.0) ~hi:10.0 () in
-  check_close ~eps:1e-6 "golden section argmin" 1.7 x
-
 let prop_solver_beats_random_points =
   (* Global optimality: no random feasible point does better. *)
   QCheck.Test.make ~name:"solver value <= random feasible evaluations" ~count:50
@@ -331,6 +326,5 @@ let suite =
       test_solver_respects_x0_and_box;
     Alcotest.test_case "solver: rejects empty box" `Quick
       test_solver_empty_box_rejected;
-    Alcotest.test_case "golden-section search" `Quick test_golden_section;
     QCheck_alcotest.to_alcotest prop_solver_beats_random_points;
   ]

@@ -2,7 +2,9 @@
    Hessian-vector product is checked against central finite differences
    of the tape gradient on random posynomial-with-max DAGs, the induced
    bilinear form is symmetric, and the value/gradient computed alongside
-   the product agree exactly with the plain evaluation sweeps. *)
+   the product agree exactly with the plain evaluation sweeps.  The
+   dense product is in turn the reference for the solver's masked
+   active-face HVP (Tape.hvp_masked). *)
 
 open Convex
 module Vec = Numeric.Vec
@@ -42,8 +44,10 @@ let expr_gen =
   in
   build 3
 
-let point_gen = QCheck.Gen.(array_size (return nvars) (float_range (-1.2) 1.2))
-let dir_gen = QCheck.Gen.(array_size (return nvars) (float_range (-1.0) 1.0))
+let point_of n = QCheck.Gen.(array_size (return n) (float_range (-1.2) 1.2))
+let dir_of n = QCheck.Gen.(array_size (return n) (float_range (-1.0) 1.0))
+let point_gen = point_of nvars
+let dir_gen = dir_of nvars
 
 let case_gen = QCheck.(make Gen.(triple expr_gen point_gen dir_gen))
 
@@ -109,6 +113,73 @@ let prop_hvp_value_grad_consistent ~mu =
       let v' = Tape.eval_grad ~mu t ws ~x ~grad:g' in
       v = v' && Array.for_all2 (fun a b -> a = b) grad g')
 
+(* Wide random DAGs over four variables: fat sums and maxima of 60-120
+   posynomial terms each, many of which read only frozen variables
+   under a random free set and so fall outside the mask. *)
+let wide_nvars = 4
+
+let wide_expr_gen =
+  let open QCheck.Gen in
+  let term =
+    let* c = float_range 0.1 5.0 in
+    let* es =
+      list_size (int_range 1 3)
+        (pair (int_range 0 (wide_nvars - 1)) (float_range (-2.0) 2.0))
+    in
+    return (Expr.term ~coeff:c ~expts:es)
+  in
+  let fat inner =
+    frequency
+      [
+        ( 3,
+          let* xs = list_size (int_range 60 120) inner in
+          return (Expr.sum xs) );
+        ( 3,
+          let* xs = list_size (int_range 60 120) inner in
+          return (Expr.max_ xs) );
+        ( 1,
+          let* s = float_range 0.1 2.0 in
+          let* xs = list_size (int_range 60 120) inner in
+          return (Expr.scale s (Expr.max_ xs)) );
+      ]
+  in
+  let* layer1 = fat term in
+  let* layer2 = fat term in
+  let* mix = fat term in
+  return (Expr.sum [ layer1; layer2; mix ])
+
+let prop_masked_matches_dense =
+  QCheck.Test.make ~name:"masked HVP = dense HVP on free coordinates"
+    ~count:100
+    QCheck.(
+      make
+        Gen.(
+          quad wide_expr_gen (point_of wide_nvars)
+            (pair (dir_of wide_nvars) (array_size (return wide_nvars) bool))
+            (oneofl [ 0.0; 0.05; 1.0 ])))
+    (fun (e, x, (dx0, free), mu) ->
+      let t = Tape.compile e in
+      (* The Newton-CG caller's contract: tangent directions live in
+         the free subspace. *)
+      let dx = Array.mapi (fun i d -> if free.(i) then d else 0.0) dx0 in
+      let dense_ws = Tape.create_workspace t in
+      let gd = Vec.create wide_nvars 0.0 and hd = Vec.create wide_nvars 0.0 in
+      ignore (Tape.eval_hvp ~mu t dense_ws ~x ~dx ~grad:gd ~hvp:hd);
+      let ws = Tape.create_workspace t in
+      let g = Vec.create wide_nvars 0.0 and h = Vec.create wide_nvars 0.0 in
+      ignore (Tape.eval_grad ~mu t ws ~x ~grad:g);
+      Tape.hvp_mask ~mu t ws ~free;
+      Tape.hvp_masked t ws ~x ~dx ~hvp:h;
+      let ok = ref true in
+      for i = 0 to wide_nvars - 1 do
+        if free.(i) && not (Float.equal h.(i) hd.(i)) then ok := false
+      done;
+      if not !ok then
+        QCheck.Test.fail_reportf
+          "masked HVP diverged from dense (mu=%g, slots=%d)" mu
+          (Tape.num_slots t)
+      else true)
+
 let suite =
   List.map QCheck_alcotest.to_alcotest
     [
@@ -119,4 +190,5 @@ let suite =
       prop_hvp_value_grad_consistent ~mu:1.0;
       prop_hvp_value_grad_consistent ~mu:0.05;
       prop_hvp_value_grad_consistent ~mu:0.0;
+      prop_masked_matches_dense;
     ]

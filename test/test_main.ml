@@ -27,6 +27,5 @@ let () =
       ("cache-prop", Test_cache_prop.suite);
       ("coalesce", Test_coalesce.suite);
       ("workgen-prop", Test_workgen_prop.suite);
-      ("par-tape", Test_par_tape.suite);
       ("integration", Test_integration.suite);
     ]

@@ -6,11 +6,9 @@
    2. Theorem 3 / Corollary 1 bounds hold;
    3. plan-cache exact hits are bit-identical and shape hits never
       worse than a cold solve;
-   4. serial and domain-pool tape sweeps (what PARADIGM_DOMAINS=4
-      selects inside the solver) agree bit-for-bit;
-   5. the solver's Phi is monotone non-increasing in the machine size
+   4. the solver's Phi is monotone non-increasing in the machine size
       on a fixed shape;
-   6. generation is deterministic per (spec, seed);
+   5. generation is deterministic per (spec, seed);
 
    plus front-end coverage: interpreting a generated recursive
    program and re-executing it in its lowered MDG's schedule order
@@ -119,44 +117,6 @@ let check_cache_sound fail g ~procs =
       (Printf.sprintf "shape-hit Phi %.12g worse than cold %.12g"
          (P.phi warm') (P.phi cold'))
 
-(* Serial vs pooled tape sweeps on this workload's own objective —
-   the sweep pair PARADIGM_DOMAINS=4 switches inside the solver.  The
-   level schedule gathers adjoints in serial order, so the contract is
-   bit-identity, not approximate agreement. *)
-let check_pool_sweeps_identical fail g ~procs =
-  let params = synth_params () in
-  let obj = Core.Allocation.objective params g ~procs in
-  let tape = Convex.Tape.compile obj in
-  let ws = Convex.Tape.create_workspace tape in
-  let ws' = Convex.Tape.create_workspace tape in
-  let n = Convex.Tape.n_vars tape in
-  let hi = log (float_of_int procs) in
-  let pool = Numeric.Domain_pool.acquire ~size:4 in
-  Fun.protect
-    ~finally:(fun () -> Numeric.Domain_pool.release pool)
-    (fun () ->
-      List.iter
-        (fun (mu, point) ->
-          let x = Array.make n point in
-          let g1 = Array.make n 0.0 and g2 = Array.make n 0.0 in
-          let v1 = Convex.Tape.eval_grad ~mu tape ws ~x ~grad:g1 in
-          let v2 =
-            Convex.Tape.eval_grad_pool ~mu tape pool ws' ~x ~grad:g2
-          in
-          if v1 <> v2 then
-            fail
-              (Printf.sprintf
-                 "serial value %.17g <> pooled value %.17g (mu=%g)" v1 v2 mu);
-          Array.iteri
-            (fun i a ->
-              if a <> g2.(i) then
-                fail
-                  (Printf.sprintf
-                     "grad[%d]: serial %.17g <> pooled %.17g (mu=%g)" i a
-                     g2.(i) mu))
-            g1)
-        [ (1.0, 0.5 *. hi); (0.05, 0.25 *. hi); (0.0, hi) ])
-
 let check_phi_monotone fail g =
   let phis =
     List.map
@@ -230,7 +190,6 @@ let check_all fail spec seed =
   let _ = check_schedule_valid fail g (synth_params ()) ~procs in
   check_bounds fail g (synth_params ()) ~procs;
   check_cache_sound fail g ~procs;
-  check_pool_sweeps_identical fail g ~procs;
   check_phi_monotone fail g;
   check_frontend_agrees fail spec seed
 
@@ -271,11 +230,6 @@ let prop_cache =
   prop "plan cache: exact hits bit-identical, shape hits never worse"
     ~count:10 (fun spec seed ->
       check_cache_sound qfail (W.generate spec ~seed) ~procs)
-
-let prop_pool_sweeps =
-  prop "serial and 4-domain tape sweeps are bit-identical" ~count:15
-    (fun spec seed ->
-      check_pool_sweeps_identical qfail (W.generate spec ~seed) ~procs)
 
 let prop_phi_monotone =
   prop "Phi is monotone non-increasing in machine size" ~count:10
@@ -453,7 +407,6 @@ let suite =
       prop_schedule_valid;
       prop_bounds;
       prop_cache;
-      prop_pool_sweeps;
       prop_phi_monotone;
       prop_frontend;
       prop_program_deterministic;
