@@ -681,6 +681,45 @@ let print_scale_row r =
     r.sc_solve_seconds r.sc_iterations r.sc_hvp_evals r.sc_cg_iters
     r.sc_emit_seconds r.sc_plan_seconds
 
+(* The JSON fields of one row in file order, each value rendered as
+   BENCH_scale.json holds it, with a flag marking the wall-clock
+   columns: the only ones a rerun of the same code may change. *)
+let scale_fields r =
+  let str v = Printf.sprintf "\"%s\"" v in
+  let num v = Printf.sprintf "%.6f" v in
+  let int = string_of_int in
+  let workload_fields =
+    (* Strassen rows keep their historical "levels" column so perf
+       trajectories across PRs stay diffable; random rows carry the
+       generator coordinates instead. *)
+    match r.sc_workload with
+    | Strassen levels -> [ ("levels", false, int levels) ]
+    | Random (spec, seed) ->
+        [
+          ("spec", false, str (Workgen.spec_to_string spec));
+          ("seed", false, int seed);
+        ]
+  in
+  (("workload", false, str (workload_name r.sc_workload)) :: workload_fields)
+  @ [
+      ("nodes", false, int r.sc_nodes);
+      ("edges", false, int r.sc_edges);
+      ("solve_seconds", true, num r.sc_solve_seconds);
+      ("emit_seconds", true, num r.sc_emit_seconds);
+      ("plan_seconds", true, num r.sc_plan_seconds);
+      ("iterations", false, int r.sc_iterations);
+      ("hvp_evals", false, int r.sc_hvp_evals);
+      ("cg_iterations", false, int r.sc_cg_iters);
+      ("phi", false, num r.sc_phi);
+      ("t_psa", false, num r.sc_t_psa);
+      ( "simulated",
+        false,
+        (* An explicit marker rather than an absent field: random and
+           oversized rows never simulate, and a silently missing key
+           reads as an accidental regression in diffs. *)
+        match r.sc_simulated with Some t -> num t | None -> str "skipped" );
+    ]
+
 (* Machine-readable perf trajectory, one object per level, so solver
    regressions across PRs show up in version control. *)
 let write_scale_json path rows =
@@ -688,37 +727,65 @@ let write_scale_json path rows =
   output_string oc "{\n  \"experiment\": \"scale\",\n  \"rows\": [\n";
   List.iteri
     (fun i r ->
-      let workload_fields =
-        (* Strassen rows keep their historical "levels" column so perf
-           trajectories across PRs stay diffable; random rows carry the
-           generator coordinates instead. *)
-        match r.sc_workload with
-        | Strassen levels -> Printf.sprintf "\"levels\": %d" levels
-        | Random (spec, seed) ->
-            Printf.sprintf "\"spec\": \"%s\", \"seed\": %d"
-              (Workgen.spec_to_string spec) seed
-      in
-      Printf.fprintf oc
-        "    {\"workload\": \"%s\", %s, \"nodes\": %d, \"edges\": %d, \
-         \"solve_seconds\": %.6f, \"emit_seconds\": %.6f, \
-         \"plan_seconds\": %.6f, \
-         \"iterations\": %d, \"hvp_evals\": %d, \
-         \"cg_iterations\": %d, \"phi\": %.6f, \"t_psa\": %.6f%s}%s\n"
-        (workload_name r.sc_workload) workload_fields r.sc_nodes r.sc_edges
-        r.sc_solve_seconds
-        r.sc_emit_seconds r.sc_plan_seconds
-        r.sc_iterations r.sc_hvp_evals r.sc_cg_iters r.sc_phi r.sc_t_psa
-        ((* An explicit marker rather than an absent field: random and
-            oversized rows never simulate, and a silently missing key
-            reads as an accidental regression in diffs. *)
-         match r.sc_simulated with
-         | Some t -> Printf.sprintf ", \"simulated\": %.6f" t
-         | None -> ", \"simulated\": \"skipped\"")
+      Printf.fprintf oc "    {%s}%s\n"
+        (String.concat ", "
+           (List.map
+              (fun (key, _, v) -> Printf.sprintf "\"%s\": %s" key v)
+              (scale_fields r)))
         (if i = List.length rows - 1 then "" else ","))
     rows;
   output_string oc "  ]\n}\n";
   close_out oc;
   Printf.printf "wrote %s\n" path
+
+(* Compare every non-timing column of [rows] with the committed row of
+   the same workload in [path], and exit 1 on any difference: a change
+   that moves Phi or a solver count has to regenerate the file. *)
+let check_scale_json path rows =
+  let committed =
+    match
+      Server.Json.of_string (In_channel.with_open_bin path In_channel.input_all)
+    with
+    | Ok json -> (
+        match Server.Json.member "rows" json with
+        | Some (Server.Json.List rows) -> rows
+        | _ -> failwith (path ^ ": no \"rows\" list"))
+    | Error e -> failwith (path ^ ": " ^ e)
+  in
+  let differences =
+    List.concat_map
+      (fun r ->
+        let name = workload_name r.sc_workload in
+        match
+          List.find_opt
+            (fun row ->
+              Server.Json.member "workload" row = Some (Server.Json.Str name))
+            committed
+        with
+        | None -> [ Printf.sprintf "%s: no committed row" name ]
+        | Some row ->
+            List.filter_map
+              (fun (key, timing, fresh) ->
+                let old = Server.Json.member key row in
+                if timing || old = Result.to_option (Server.Json.of_string fresh)
+                then None
+                else
+                  Some
+                    (Printf.sprintf "%s %s: committed %s, now %s" name key
+                       (Option.fold ~none:"(absent)" ~some:Server.Json.to_string
+                          old)
+                       fresh))
+              (scale_fields r))
+      rows
+  in
+  if differences <> [] then begin
+    List.iter prerr_endline differences;
+    Printf.eprintf
+      "%s is stale: regenerate it with `dune exec bench/main.exe -- scale`\n"
+      path;
+    exit 1
+  end;
+  Printf.printf "non-timing columns match %s\n" path
 
 let scale_workloads ?json workloads =
   header "Scaling: allocator and scheduler on recursive MDGs";
@@ -738,7 +805,8 @@ let scale_workloads ?json workloads =
      transfers; the machine decides which effect wins.  Random rows\n\
      exercise the allocator on workgen's irregular divide-combine\n\
      shapes — wiring extras and cutoff leaves that Strassen's regular\n\
-     recursion never produces.)\n"
+     recursion never produces.)\n";
+  rows
 
 (* The tracked trajectory: the four Strassen depths the perf budget
    watches, plus two pinned workgen workloads (a small irregular one
@@ -751,20 +819,26 @@ let scale_random_pins =
   ]
 
 let scale () =
-  scale_workloads ~json:"BENCH_scale.json"
-    (List.map (fun l -> Strassen l) [ 1; 2; 3; 4 ] @ scale_random_pins)
+  ignore
+    (scale_workloads ~json:"BENCH_scale.json"
+       (List.map (fun l -> Strassen l) [ 1; 2; 3; 4 ] @ scale_random_pins))
 
-(* Smoke-test variant for `make bench-quick`: small levels only, no
-   JSON artifact, finishes in seconds. *)
+(* Smoke-test variant for `make bench-quick`: small levels only,
+   finishes in seconds.  Its Strassen rows must reproduce the committed
+   BENCH_scale.json rows in every non-timing column. *)
 let scale_quick () =
-  scale_workloads
-    [ Strassen 1; Strassen 2;
-      Random (Workgen.spec_of_string_exn "depth=2,branch=2", 7) ]
+  let strassen = [ Strassen 1; Strassen 2 ] in
+  let rows =
+    scale_workloads
+      (strassen @ [ Random (Workgen.spec_of_string_exn "depth=2,branch=2", 7) ])
+  in
+  check_scale_json "BENCH_scale.json"
+    (List.filter (fun r -> List.mem r.sc_workload strassen) rows)
 
 (* `bench scale <workload>...`: ad-hoc rows, no JSON artifact (the
    tracked BENCH_scale.json only ever holds the pinned row set). *)
 let scale_custom workloads =
-  scale_workloads (List.map workload_of_string workloads)
+  ignore (scale_workloads (List.map workload_of_string workloads))
 
 (* ------------------------------------------------------------------ *)
 (* Aggregate Amdahl node model vs explicit data-parallel expansion      *)

@@ -85,7 +85,42 @@ let check_box name lo hi =
     if lo.(i) > hi.(i) then invalid_arg (name ^ ": empty box")
   done
 
+let check_options name o =
+  let in_unit field v =
+    if not (v > 0.0 && v < 1.0) then
+      invalid_arg (Printf.sprintf "%s: options.%s must lie in (0, 1)" name field)
+  in
+  in_unit "mu_decay" o.mu_decay;
+  in_unit "armijo_shrink" o.armijo_shrink
+
 let clamp1 lo hi v = if v < lo then lo else if v > hi then hi else v
+
+let grid_steps = 40
+
+(* The step for grid index k, armijo_shrink^k, by the same repeated
+   multiplication a backtracking loop from alpha = 1 performs, so each
+   step is bit-identical to the one that loop tries after k shrinks. *)
+let step_grid shrink =
+  let a = Array.make grid_steps 1.0 in
+  for k = 1 to grid_steps - 1 do
+    a.(k) <- a.(k - 1) *. shrink
+  done;
+  a
+
+let grid_search ~start accept =
+  if start < 0 || start >= grid_steps then
+    invalid_arg "Solver.grid_search: start outside the grid";
+  (* [k] is accepted: climb to longer steps while they are accepted. *)
+  let rec up k = if k > 0 && accept (k - 1) then up (k - 1) else k in
+  let rec down k =
+    if k >= grid_steps then None else if accept k then Some k else down (k + 1)
+  in
+  (* Nothing at or below the start: the longer steps, from alpha = 1. *)
+  let rec scan k =
+    if k >= start then None else if accept k then Some k else scan (k + 1)
+  in
+  if accept start then Some (up start)
+  else match down (start + 1) with Some k -> Some k | None -> scan 0
 
 (* One stage of accelerated projected gradient descent (FISTA with
    function-value restart) with Armijo backtracking, at a fixed
@@ -188,6 +223,20 @@ type second_order = {
   so_diag : diag:Vec.t -> unit;
 }
 
+(* What one Newton stage did: outer iterations, CG iterations and HVPs,
+   whether it stopped on its tolerance, and its projected-arc searches
+   (Newton and gradient-arc fallback alike), their trial sweeps and the
+   fallbacks among them. *)
+type newton_stats = {
+  outer : int;
+  cg_iters : int;
+  hvps : int;
+  hit_tol : bool;
+  searches : int;
+  trials : int;
+  fallbacks : int;
+}
+
 (* One stage of projected (two-metric) Newton-CG at a fixed smoothing
    temperature, the stage every tape-engine solve runs in place of
    FISTA.  Each outer iteration computes the gradient,
@@ -195,18 +244,32 @@ type second_order = {
    outward), solves [H d = -g] on the free variables by
    Jacobi-preconditioned conjugate gradients driven by masked tape
    Hessian-vector products, fills the active components with steepest
-   descent and backtracks along the projected arc.  The CG is inexact
-   (Eisenstat–Walker-style forcing), so far from the optimum a handful
-   of HVPs buy a Newton-quality step, while near it the tolerance
-   tightens for superlinear convergence.  With [opts.precondition]
-   false the identity diagonal reproduces plain CG bit for bit.  All
-   buffers are caller-owned; [x] and [g] are updated in place.
-   Returns (outer iterations, cg iterations, hvp count, hit_tol). *)
-let newton_stage ~opts ~tol ~mu ~f ~fg ~so ~lo ~hi ~x ~g ~cand ~d ~r ~p ~hp ~z
-    ~mdiag ~free =
+   descent and searches the step grid along the projected arc.  The CG
+   is inexact (Eisenstat–Walker-style forcing), so far from the optimum
+   a handful of HVPs buy a Newton-quality step, while near it the
+   tolerance tightens for superlinear convergence.  With
+   [opts.precondition] false the identity diagonal reproduces plain CG
+   bit for bit.  [grid] is {!step_grid}; [last_k] is the grid index of
+   the last accepted Newton step, carried across the stages of one
+   solve.  All buffers are caller-owned; [x] and [g] are updated in
+   place. *)
+let newton_stage ~opts ~tol ~mu ~f ~fg ~so ~grid ~last_k ~lo ~hi ~x ~g ~cand ~d
+    ~r ~p ~hp ~z ~mdiag ~free =
   let n = Vec.dim x in
   let outer = ref 0 and cg_total = ref 0 and hvps = ref 0 in
+  let searches = ref 0 and trials = ref 0 and fallbacks = ref 0 in
   let hit_tol = ref false in
+  (* Fill [cand] with the projected-arc point [x + alpha d] and return
+     the gradient's inner product with the move. *)
+  let arc alpha =
+    let gd = ref 0.0 in
+    for i = 0 to n - 1 do
+      let ci = clamp1 lo.(i) hi.(i) (x.(i) +. (alpha *. d.(i))) in
+      cand.(i) <- ci;
+      gd := !gd +. (g.(i) *. (ci -. x.(i)))
+    done;
+    !gd
+  in
   let f_prev = ref infinity in
   (try
      for _ = 1 to opts.newton_max_iters do
@@ -344,24 +407,24 @@ let newton_stage ~opts ~tol ~mu ~f ~fg ~so ~lo ~hi ~x ~g ~cand ~d ~r ~p ~hp ~z
        for i = 0 to n - 1 do
          if not free.(i) then d.(i) <- -.g.(i)
        done;
-       (* Backtracking Armijo on the projected arc. *)
-       let rec search alpha tries =
-         if tries = 0 then None
-         else begin
-           let gd = ref 0.0 in
-           for i = 0 to n - 1 do
-             let ci = clamp1 lo.(i) hi.(i) (x.(i) +. (alpha *. d.(i))) in
-             cand.(i) <- ci;
-             gd := !gd +. (g.(i) *. (ci -. x.(i)))
-           done;
-           let fc = f ~mu cand in
-           if fc <= fx +. (opts.armijo_c *. !gd) && !gd < 0.0 then Some fc
-           else search (alpha *. opts.armijo_shrink) (tries - 1)
-         end
+       (* Armijo on the projected arc, over the step grid. *)
+       let accept k =
+         incr trials;
+         let gd = arc grid.(k) in
+         let fc = f ~mu cand in
+         fc <= fx +. (opts.armijo_c *. gd) && gd < 0.0
        in
+       (* The accepted steps of one stage shrink slowly, so the Newton
+          search starts one grid step above the last accepted one.  On
+          an arc no box face bends, Phi's convexity in x makes the
+          accepted grid indices upward-closed, and the search then finds
+          the same step as a scan from alpha = 1. *)
+       incr searches;
        let step =
-         match search 1.0 40 with
-         | Some fc -> Some fc
+         match grid_search ~start:(Int.max 0 (!last_k - 1)) accept with
+         | Some k ->
+             last_k := k;
+             Some k
          | None ->
              (* No descent along the Newton arc.  A truncated (or
                 badly preconditioned) CG direction can fail Armijo
@@ -372,7 +435,9 @@ let newton_stage ~opts ~tol ~mu ~f ~fg ~so ~lo ~hi ~x ~g ~cand ~d ~r ~p ~hp ~z
              for i = 0 to n - 1 do
                d.(i) <- -.g.(i)
              done;
-             search 1.0 40
+             incr searches;
+             incr fallbacks;
+             grid_search ~start:0 accept
        in
        match step with
        | None ->
@@ -380,17 +445,28 @@ let newton_stage ~opts ~tol ~mu ~f ~fg ~so ~lo ~hi ~x ~g ~cand ~d ~r ~p ~hp ~z
               as good as this stage can make it. *)
            hit_tol := true;
            raise Exit
-       | Some _ ->
+       | Some k ->
            (* A tiny accepted step is NOT an exit on its own: a badly
               scaled CG direction can produce sub-[tol] moves far from
               stationarity.  The next iteration's objective-stall
               check vets such creep against a projected-gradient probe
-              before the stage may conclude. *)
+              before the stage may conclude.  The last trial may have
+              been a rejected longer step, so rebuild the accepted
+              point. *)
+           ignore (arc grid.(k));
            Array.blit cand 0 x 0 n
        end
      done
    with Exit -> ());
-  (!outer, !cg_total, !hvps, !hit_tol)
+  {
+    outer = !outer;
+    cg_iters = !cg_total;
+    hvps = !hvps;
+    hit_tol = !hit_tol;
+    searches = !searches;
+    trials = !trials;
+    fallbacks = !fallbacks;
+  }
 
 (* The staged solve proper, over objective oracles: [f]/[fg] evaluate
    the objective at a point (and [fg] writes its gradient into [g]);
@@ -413,6 +489,8 @@ let run ~options ~obs ~x0 ~lo ~hi ~x ~g ~f ~fg ~so =
   let z = Vec.create n 0.0 in
   let mdiag = Vec.create n 1.0 in
   let free = Array.make n true in
+  let grid = step_grid options.armijo_shrink in
+  let last_k = ref 0 in
   (* Scale smoothing temperatures by the magnitude of the objective so
      the anneal behaves the same for millisecond- and second-scale
      costs. *)
@@ -481,27 +559,33 @@ let run ~options ~obs ~x0 ~lo ~hi ~x ~g ~f ~fg ~so =
             if mu > mu_final *. 1.000001 then Float.max options.tol 1e-4
             else options.tol
           in
-          let outer, cg_iters, hvps, hit =
-            newton_stage ~opts:options ~tol ~mu ~f ~fg ~so ~lo ~hi ~x ~g ~cand
-              ~d ~r ~p ~hp ~z ~mdiag ~free
+          let s =
+            newton_stage ~opts:options ~tol ~mu ~f ~fg ~so ~grid ~last_k ~lo
+              ~hi ~x ~g ~cand ~d ~r ~p ~hp ~z ~mdiag ~free
           in
-          total_iters := !total_iters + outer;
-          total_hvps := !total_hvps + hvps;
-          total_cg := !total_cg + cg_iters;
+          total_iters := !total_iters + s.outer;
+          total_hvps := !total_hvps + s.hvps;
+          total_cg := !total_cg + s.cg_iters;
           if Obs.enabled obs then begin
+            let stage = ("stage", float_of_int !stages_done) in
             Obs.counter obs "solver.hvp"
-              [
-                ("stage", float_of_int !stages_done);
-                ("hvps", float_of_int hvps);
-              ];
+              [ stage; ("hvps", float_of_int s.hvps) ];
             Obs.counter obs "solver.cg_iters"
               [
-                ("stage", float_of_int !stages_done);
-                ("newton_iters", float_of_int outer);
-                ("cg_iters", float_of_int cg_iters);
+                stage;
+                ("newton_iters", float_of_int s.outer);
+                ("cg_iters", float_of_int s.cg_iters);
+              ];
+            Obs.counter obs "solver.linesearch"
+              [
+                stage;
+                ("searches", float_of_int s.searches);
+                ("trials", float_of_int s.trials);
+                ("fallbacks", float_of_int s.fallbacks);
+                ("last_index", float_of_int !last_k);
               ]
           end;
-          (hit, 0, 0)
+          (s.hit_tol, 0, 0)
       | _ ->
           let iters, ok, backtracks =
             stage ~opts:options ~mu ~f ~fg ~lo ~hi ~x ~y ~g ~cand
@@ -665,11 +749,13 @@ let solve_tape ~options ~obs ?x0 name c ~lo ~hi =
 let solve_compiled ?(options = default_options) ?(obs = Obs.null) ?x0 c ~lo ~hi
     =
   check_box "Solver.solve_compiled" lo hi;
+  check_options "Solver.solve_compiled" options;
   solve_tape ~options ~obs ?x0 "Solver.solve_compiled" c ~lo ~hi
 
 let solve ?(options = default_options) ?(engine = Tape) ?(obs = Obs.null) ?x0
     { objective; lo; hi } =
   check_box "Solver.solve" lo hi;
+  check_options "Solver.solve" options;
   if Expr.max_var objective >= Vec.dim lo then
     invalid_arg "Solver.solve: objective references variables outside the box";
   match engine with

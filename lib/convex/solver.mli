@@ -1,28 +1,26 @@
-(** Projected-gradient solver for box-constrained convex programs.
+(** Projected Newton-CG solver for box-constrained convex programs.
 
     Minimises a convex objective over a box [lo ≤ x ≤ hi], given
     either as an expression ({!solve} over an {!Expr}) or as an
     already-built flat tape ({!solve_compiled}, the plan path, which
-    never touches an {!Expr}).  Non-smooth maxima are handled by annealing a
-    log-sum-exp smoothing temperature: each stage minimises the smoothed
-    (convex, C¹) objective by projected gradient descent with Armijo
-    backtracking, then the temperature shrinks.  Because the smoothed
-    objective over-estimates the true one by at most [mu·ln k], the
-    final iterate is within a vanishing additive gap of the global
-    minimum of the original problem.
+    never touches an {!Expr}).  Non-smooth maxima are handled by
+    annealing a log-sum-exp smoothing temperature: each stage minimises
+    the smoothed (convex, C¹) objective at a fixed temperature, then the
+    temperature shrinks, and an exact (mu = 0) polishing stage ends the
+    solve.  Because the smoothed objective over-estimates the true one
+    by at most [mu·ln k], the final iterate is within a vanishing
+    additive gap of the global minimum of the original problem.
 
     {!solve} compiles the expression once per solve to a flat
     instruction tape ({!Tape}) with reverse-mode gradients and then
-    runs exactly what {!solve_compiled} runs, so every FISTA
-    iteration, Armijo probe and per-stage exact evaluation costs
+    runs exactly what {!solve_compiled} runs, so every sweep costs
     O(|tape|) and allocates nothing — instead of the O(n·|DAG|)
     forward-mode sweep of {!Expr.eval_grad}.  The DAG-walking
     implementation remains available as the [Reference] engine for
     cross-checking.
 
-    On the tape engine each stage — including the exact (mu = 0)
-    polish — is a projected Newton-CG stage instead
-    ({!options.second_order}, on by default):
+    On the tape engine every stage is a projected (two-metric)
+    Newton-CG stage ({!options.second_order}, on by default).
     Jacobi-preconditioned conjugate gradients over masked tape
     Hessian-vector products ({!Tape.hvp_masked}, swept over the
     instructions live under the current free set only) solve the
@@ -30,11 +28,29 @@
     iteration count at tight smoothing temperatures from hundreds to a
     handful.  At mu = 0 the masked HVP is the generalised Hessian of
     the active piece, and the projected-Newton polish is what pushes a
-    stalled first-order anneal the last ~1e-3 to the optimum.  Every
-    sweep runs serially on the calling domain; concurrent solves
-    parallelise across domains, one {!compiled} workspace each
-    ({!share_tape}).  The [Reference] engine has no second-order
-    oracle and keeps the pure first-order behaviour.
+    stalled anneal the last ~1e-3 to the optimum.
+
+    Each Newton step is accepted by an Armijo test along the projected
+    arc [x + α·d], over the step grid α_k = [armijo_shrink]^k,
+    k = 0 … {!grid_steps}−1 ({!grid_search}).  The accepted step falls
+    slowly over a solve, so the search starts one grid step above the
+    last accepted index — carried across the stages of one solve,
+    starting at 0 — and walks down on rejection or up while accepted,
+    falling back to the longer steps from α = 1 only when nothing at or
+    below its start is accepted.  This is exact where the accepted grid
+    indices are upward-closed: the warm-started search then returns the
+    step a backtracking scan from α = 1 returns, in about half the trial
+    sweeps.  They are whenever no box face bends the arc, since the
+    objective is convex in x, hence along the straight arc, and its
+    Armijo-accepted steps form an interval (0, ᾱ].  Where a face bends
+    the arc, or rounding blurs the test at tiny steps, the two searches
+    can accept different steps.  When the
+    Newton arc admits no step the stage falls back to the projected
+    gradient arc, searched from α = 1.  Without the second-order oracle
+    ([second_order = false], or the [Reference] engine, which has none)
+    every stage is FISTA with Armijo backtracking instead.  Every sweep
+    runs serially on the calling domain; concurrent solves parallelise
+    across domains, one {!compiled} workspace each ({!share_tape}).
 
     Supplying a starting point [x0] warm-starts the solve; when an
     Armijo-probed gradient step at the tightest smoothing temperature
@@ -59,9 +75,11 @@ type options = {
                               fraction of the initial objective value *)
   mu_final : float;       (** final temperature (same scaling) *)
   mu_decay : float;       (** multiplicative decay per stage, in (0,1) *)
-  step_init : float;      (** initial trial step for line search *)
+  step_init : float;      (** initial trial step for the FISTA and
+                              warm-start probe line searches *)
   armijo_c : float;       (** sufficient-decrease constant *)
-  armijo_shrink : float;  (** backtracking factor, in (0,1) *)
+  armijo_shrink : float;  (** backtracking factor and step-grid ratio
+                              ({!grid_search}), in (0,1) *)
   second_order : bool;    (** run every stage as projected Newton-CG
                               over tape Hessian-vector products
                               instead of FISTA (tape engines only) *)
@@ -76,6 +94,25 @@ type options = {
 }
 
 val default_options : options
+
+val grid_steps : int
+(** Length of the Armijo step grid: indices k = 0 … [grid_steps]−1
+    stand for the steps α_k = [armijo_shrink]^k (40 indices). *)
+
+val grid_search : start:int -> (int -> bool) -> int option
+(** [grid_search ~start accept] is the arc search of every Newton step,
+    over grid indices ([accept k] runs the trial at α_k).  It tries
+    [start] first.  On a rejection it steps down the grid (shorter
+    steps) until a trial is accepted; when the first trial is accepted
+    and [start > 0] it steps up (longer steps) while trials are
+    accepted, and returns the last accepted index.  If nothing at or
+    below [start] is accepted it scans the indices above [start] from
+    k = 0.  So it returns an accepted index whenever one exists in the
+    grid and [None] only when no index is accepted.  If the accepted
+    set is upward-closed in k, it returns its least element k* — the
+    result of a scan from k = 0 — after at most |k* − start| + 2 calls
+    of [accept].  Raises [Invalid_argument] if [start] is outside the
+    grid. *)
 
 type result = {
   x : Numeric.Vec.t;      (** final iterate (inside the box) *)
@@ -144,8 +181,10 @@ val solve_compiled :
     here.  Behaves exactly as {!solve} with the [Tape] engine on an
     objective that compiles to the same tape — same iterates, counts
     and telemetry.  Raises [Invalid_argument] if the box is empty,
-    dimensions disagree, or the tape references variables outside the
-    box ({!Tape.n_vars}). *)
+    dimensions disagree, the tape references variables outside the
+    box ({!Tape.n_vars}), or [options.mu_decay] or
+    [options.armijo_shrink] lies outside (0, 1) (the message names the
+    field). *)
 
 val solve :
   ?options:options ->
@@ -161,8 +200,10 @@ val solve :
     result is never worse than [x0] itself — if the staged solve ends
     above the (projected) starting point, the starting point is
     returned.  Raises
-    [Invalid_argument] if the box is empty, dimensions disagree, or the
-    objective references variables outside the box.
+    [Invalid_argument] if the box is empty, dimensions disagree, the
+    objective references variables outside the box, or
+    [options.mu_decay] or [options.armijo_shrink] lies outside (0, 1)
+    (the message names the field).
 
     With a live [obs] sink (default {!Obs.null}: no overhead) the
     solve is wrapped in a ["solver.solve"] span and every smoothing
@@ -171,8 +212,12 @@ val solve :
     [backtracks], the exact (unsmoothed) [objective] reached and its
     [decrease] from the previous stage.  Newton-CG stages report zero
     first-order iterations there and additionally emit ["solver.hvp"]
-    (Hessian-vector products) and ["solver.cg_iters"] (outer Newton and
-    inner CG iterations), so over one solve the [solver.stage]
+    (Hessian-vector products), ["solver.cg_iters"] (outer Newton and
+    inner CG iterations) and ["solver.linesearch"]: the stage's arc
+    [searches] (Newton and gradient-arc fallback alike), their [trials]
+    (forward sweeps), the [fallbacks] to the gradient arc and the
+    [last_index] of the step grid a Newton step accepted, as carried
+    into the next stage.  So over one solve the [solver.stage]
     iterations plus the [newton_iters] sum to {!result.iterations}, the
     [hvps] to [hvp_evals] and the [cg_iters] to [cg_iterations].  A
     warm-started solve emits one ["solver.warm_start"] counter recording

@@ -273,6 +273,43 @@ let test_solver_empty_box_rejected () =
     (fun () ->
       ignore (Solver.solve { objective = e; lo = [| 1.0 |]; hi = [| 0.0 |] }))
 
+(* Both solve entry points, both engines: each must reject [options]
+   before running a stage. *)
+let check_rejects_option field values with_value =
+  let e =
+    Expr.max_
+      [
+        Expr.term ~coeff:1.0 ~expts:[ (0, 1.0) ];
+        Expr.term ~coeff:1.0 ~expts:[ (0, -1.0) ];
+      ]
+  in
+  let lo, hi = box 1 (-2.0) 2.0 in
+  let msg entry = Printf.sprintf "%s: options.%s must lie in (0, 1)" entry field in
+  List.iter
+    (fun v ->
+      let options = with_value v in
+      let label entry = Printf.sprintf "%s %s = %g" entry field v in
+      List.iter
+        (fun engine ->
+          Alcotest.check_raises (label "solve")
+            (Invalid_argument (msg "Solver.solve")) (fun () ->
+              ignore (Solver.solve ~options ~engine { objective = e; lo; hi })))
+        [ Solver.Tape; Solver.Reference ];
+      Alcotest.check_raises (label "solve_compiled")
+        (Invalid_argument (msg "Solver.solve_compiled")) (fun () ->
+          ignore (Solver.solve_compiled ~options (Solver.compile e) ~lo ~hi)))
+    values
+
+let test_solver_rejects_mu_decay () =
+  (* mu_decay = 1 never shrinks the temperature, so this one-variable
+     max solve used to spin in the anneal forever. *)
+  check_rejects_option "mu_decay" [ 1.0; 0.0; 1.5; -0.5; Float.nan ] (fun v ->
+      { Solver.default_options with mu_decay = v })
+
+let test_solver_rejects_armijo_shrink () =
+  check_rejects_option "armijo_shrink" [ 1.0; 0.0; 2.0; -0.5; Float.nan ]
+    (fun v -> { Solver.default_options with armijo_shrink = v })
+
 let prop_solver_beats_random_points =
   (* Global optimality: no random feasible point does better. *)
   QCheck.Test.make ~name:"solver value <= random feasible evaluations" ~count:50
@@ -327,4 +364,8 @@ let suite =
     Alcotest.test_case "solver: rejects empty box" `Quick
       test_solver_empty_box_rejected;
     QCheck_alcotest.to_alcotest prop_solver_beats_random_points;
+    Alcotest.test_case "solver: rejects mu_decay outside (0, 1)" `Quick
+      test_solver_rejects_mu_decay;
+    Alcotest.test_case "solver: rejects armijo_shrink outside (0, 1)" `Quick
+      test_solver_rejects_armijo_shrink;
   ]

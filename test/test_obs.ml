@@ -476,6 +476,15 @@ let check_counter_contract label ?(options = Convex.Solver.default_options)
   check "hvps = hvp_evals" r.hvp_evals (sum "solver.hvp" "hvps");
   check "cg_iters = cg_iterations" r.cg_iterations
     (sum "solver.cg_iters" "cg_iters");
+  (* Every Newton stage, and only a Newton stage, emits solver.hvp and
+     solver.linesearch once. *)
+  check "one solver.linesearch per Newton stage"
+    (count_name events "solver.hvp")
+    (count_name events "solver.linesearch");
+  Alcotest.(check bool)
+    (label ^ ": linesearch trials >= searches")
+    true
+    (sum "solver.linesearch" "trials" >= sum "solver.linesearch" "searches");
   r
 
 let test_solver_counter_contract () =

@@ -191,6 +191,76 @@ let test_concurrent_big_tape_solves () =
         Alcotest.failf "racing solve %d diverged: %.17g vs %.17g" i v v0)
     vs
 
+(* The Newton arc search over the step grid ({!Solver.grid_search}).
+   [counting] counts the calls of [accept]; [scan] is the plain
+   backtracking scan from k = 0 that the search must agree with on
+   upward-closed sets. *)
+let counting accepted =
+  let calls = ref 0 in
+  let accept k =
+    incr calls;
+    accepted k
+  in
+  (accept, calls)
+
+let scan accepted =
+  let rec go k =
+    if k >= Solver.grid_steps then None
+    else if accepted k then Some k
+    else go (k + 1)
+  in
+  go 0
+
+let grid_index = QCheck.Gen.int_range 0 (Solver.grid_steps - 1)
+
+(* Upward-closed accepted sets {k >= k*}, with k* = grid_steps for the
+   empty set: the shape Armijo acceptance takes on a straight arc of a
+   convex function. *)
+let prop_grid_upward_closed =
+  QCheck.Test.make
+    ~name:"grid search on an upward-closed set: the scan's index, few calls"
+    ~count:(Generators.count 500)
+    QCheck.(
+      make ~print:Print.(pair int int)
+        Gen.(pair grid_index (int_range 0 Solver.grid_steps)))
+    (fun (start, k_star) ->
+      let accepted k = k >= k_star in
+      let accept, calls = counting accepted in
+      let got = Solver.grid_search ~start accept in
+      if got <> scan accepted then
+        QCheck.Test.fail_reportf "returned %s, the scan from 0 returns %s"
+          (Option.fold ~none:"None" ~some:string_of_int got)
+          (Option.fold ~none:"None" ~some:string_of_int (scan accepted))
+      else if k_star < Solver.grid_steps && !calls > abs (k_star - start) + 2
+      then
+        QCheck.Test.fail_reportf "%d calls for k* = %d from %d" !calls k_star
+          start
+      else true)
+
+(* Arbitrary accepted sets: empty ones often, sparse and dense ones. *)
+let prop_grid_any_set =
+  QCheck.Test.make
+    ~name:"grid search returns an accepted index, None only if none is"
+    ~count:(Generators.count 500)
+    QCheck.(
+      make
+        ~print:
+          Print.(
+            pair int (fun a ->
+                String.concat ""
+                  (Array.to_list (Array.map (fun b -> if b then "1" else "0") a))))
+        Gen.(
+          pair grid_index
+            (let* density =
+               frequency [ (1, return 0.0); (4, float_bound_inclusive 1.0) ]
+             in
+             array_repeat Solver.grid_steps
+               (map (fun u -> u < density) (float_bound_exclusive 1.0)))))
+    (fun (start, set) ->
+      match Solver.grid_search ~start (fun k -> set.(k)) with
+      | Some k -> set.(k)
+      | None -> Array.for_all not set)
+
 let suite =
   List.map QCheck_alcotest.to_alcotest
     [ prop_stationary; prop_warm_matches_cold; prop_engines_agree ]
@@ -199,4 +269,6 @@ let suite =
       QCheck_alcotest.to_alcotest prop_pcg_same_optimum;
       Alcotest.test_case "concurrent big-tape solves" `Quick
         test_concurrent_big_tape_solves;
+      QCheck_alcotest.to_alcotest prop_grid_upward_closed;
+      QCheck_alcotest.to_alcotest prop_grid_any_set;
     ]
