@@ -48,8 +48,9 @@ bench-quick: build
 	dune exec bench/main.exe -- scale-quick
 
 # Serving smoke: start the plan server, drive it with concurrent
-# clients for 2 s, and fail on any dropped request or a cold tape
-# cache (see bench/serve_bench.ml).
+# clients for 2 s, and fail on any dropped request, a near-dup mix
+# with no exact cache hit, or a hot-key mix that never coalesces (see
+# bench/serve_bench.ml).
 bench-serve-quick: build
 	dune exec bench/main.exe -- serve-quick
 

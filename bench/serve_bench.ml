@@ -20,16 +20,15 @@
 
    Each mix emits one row (req/s, p50/p99, cache + coalesce + shed
    columns) into BENCH_serve.json; `serve-quick` is the CI smoke
-   variant and exits non-zero if any request fails, the tape cache
-   never hits on the near-dup mix, or the hot-key mix never
-   coalesces. *)
+   variant and exits non-zero if any request fails, no near-dup
+   request is an exact hit (served without entering the solver), or
+   the hot-key mix never coalesces. *)
 
 module Daemon = Server.Daemon
 module Client = Server.Client
 
 type sample = {
   latency : float;  (* seconds *)
-  tape_hit : bool;
   warm_hit : bool;  (* exact or shape *)
   skipped : bool;
   coalesced : bool;
@@ -49,7 +48,6 @@ let percentile sorted p =
 let sample_of_summary ~latency (s : Server.Protocol.plan_summary) =
   {
     latency;
-    tape_hit = s.tape_cache = "hit";
     warm_hit = s.warm_cache = "hit" || s.warm_cache = "shape_hit";
     skipped = s.solve_skipped;
     coalesced = s.coalesced;
@@ -144,7 +142,6 @@ type row = {
   req_per_s : float;
   p50_ms : float;
   p99_ms : float;
-  tape_hit_rate : float;
   warm_hit_rate : float;
   solve_skipped_rate : float;
   coalesced_rate : float;
@@ -182,7 +179,6 @@ let make_row ~mix ~workload ~clients ~elapsed ~queue_depth_max ~stats ~srv_shed
     req_per_s = float_of_int requests /. elapsed;
     p50_ms = 1e3 *. percentile latencies 50.0;
     p99_ms = 1e3 *. percentile latencies 99.0;
-    tape_hit_rate = rate (fun s -> s.tape_hit);
     warm_hit_rate = rate (fun s -> s.warm_hit);
     solve_skipped_rate = rate (fun s -> s.skipped);
     coalesced_rate = rate (fun s -> s.coalesced);
@@ -195,17 +191,14 @@ let print_row r =
   Printf.printf
     "[%s] %d clients, %.1f s: %d requests (%d failed, %d shed), %.1f req/s\n\
     \  latency p50 %.2f ms, p99 %.2f ms\n\
-    \  cache: tape hits %.1f%%, warm hits %.1f%%, solve skipped %.1f%%, \
-     coalesced %.1f%%\n\
-    \  server: tape %d/%d hits, warm %d exact + %d shape / %d misses, \
-     coalesce %d hits on %d leaders, shed %d, max queue depth %d\n\
+    \  cache: warm hits %.1f%%, solve skipped %.1f%%, coalesced %.1f%%\n\
+    \  server: warm %d exact + %d shape / %d misses, coalesce %d hits on %d \
+     leaders, shed %d, max queue depth %d\n\
      %!"
     r.mix r.clients r.duration r.requests r.failed r.shed r.req_per_s r.p50_ms
-    r.p99_ms (100.0 *. r.tape_hit_rate) (100.0 *. r.warm_hit_rate)
+    r.p99_ms (100.0 *. r.warm_hit_rate)
     (100.0 *. r.solve_skipped_rate)
     (100.0 *. r.coalesced_rate)
-    r.stats.tape_hits
-    (r.stats.tape_hits + r.stats.tape_misses)
     r.stats.warm_hits r.stats.warm_shape_hits r.stats.warm_misses
     r.stats.coalesce_hits r.stats.coalesce_leaders r.srv_shed r.queue_depth_max
 
@@ -471,12 +464,12 @@ let write_json path rows =
         \     \"duration_seconds\": %.3f, \"requests\": %d, \"failed\": %d,\n\
         \     \"shed\": %d, \"req_per_s\": %.2f, \"p50_ms\": %.3f, \"p99_ms\": \
          %.3f,\n\
-        \     \"tape_hit_rate\": %.4f, \"warm_hit_rate\": %.4f,\n\
-        \     \"solve_skipped_rate\": %.4f, \"coalesced_rate\": %.4f,\n\
+        \     \"warm_hit_rate\": %.4f, \"solve_skipped_rate\": %.4f, \
+         \"coalesced_rate\": %.4f,\n\
         \     \"coalesce_hits\": %d, \"coalesce_leaders\": %d,\n\
         \     \"server_shed\": %d, \"queue_depth_max\": %d}%s\n"
         r.mix r.workload r.clients r.duration r.requests r.failed r.shed
-        r.req_per_s r.p50_ms r.p99_ms r.tape_hit_rate r.warm_hit_rate
+        r.req_per_s r.p50_ms r.p99_ms r.warm_hit_rate
         r.solve_skipped_rate r.coalesced_rate r.stats.coalesce_hits
         r.stats.coalesce_leaders r.srv_shed r.queue_depth_max
         (if i = List.length rows - 1 then "" else ","))
@@ -505,9 +498,9 @@ let serve () =
   write_json "BENCH_serve.json" rows
 
 (* CI smoke variant: short runs of the near-dup, cold-heavy and
-   hot-key mixes with hard floors — any failed request, a never-
-   warming tape cache, or a hot-key mix that never coalesces fails
-   the build. *)
+   hot-key mixes with hard floors — any failed request, a near-dup mix
+   with no exact hit, or a hot-key mix that never coalesces fails the
+   build. *)
 let serve_quick () =
   header "Plan server smoke: near-dup / cold-heavy / hot-key";
   let near = run_near_dup ~duration:2.0 ~clients:2 ~variants:2 () in
@@ -521,7 +514,7 @@ let serve_quick () =
       if r.requests = 0 then
         failwith (Printf.sprintf "serve-quick[%s]: no requests completed" r.mix))
     [ near; cold; hot ];
-  if near.tape_hit_rate <= 0.0 then
-    failwith "serve-quick: tape cache never hit on the near-dup mix";
+  if near.solve_skipped_rate <= 0.0 then
+    failwith "serve-quick: no exact cache hit on the near-dup mix";
   if hot.stats.coalesce_hits <= 0 then
     failwith "serve-quick: hot-key mix never coalesced concurrent misses"

@@ -71,11 +71,6 @@ let eval_compiled ?(mu = 0.0) c x = Tape.eval ~mu c.tape c.ws x
 
 let compiled_branches c = Tape.root_branches c.tape c.ws
 
-(* The tape itself is immutable after [compile]; only the workspace is
-   scratch.  Sharing the tape under a fresh workspace is what lets a
-   cached compilation serve concurrent solves on separate domains. *)
-let share_tape c = { c with ws = Tape.create_workspace c.tape }
-
 type engine = Tape | Reference
 
 let check_box name lo hi =

@@ -50,7 +50,7 @@
     ([second_order = false], or the [Reference] engine, which has none)
     every stage is FISTA with Armijo backtracking instead.  Every sweep
     runs serially on the calling domain; concurrent solves parallelise
-    across domains, one {!compiled} workspace each ({!share_tape}).
+    across domains, each on its own {!compiled} value.
 
     Supplying a starting point [x0] warm-starts the solve; when an
     Armijo-probed gradient step at the tightest smoothing temperature
@@ -153,13 +153,6 @@ val compiled_branches : compiled -> float array
 val eval_compiled : ?mu:float -> compiled -> Numeric.Vec.t -> float
 (** Evaluate a compiled objective; equals {!Expr.eval} on the original
     expression.  O(|tape|), allocation-free. *)
-
-val share_tape : compiled -> compiled
-(** A new [compiled] value sharing the (immutable) instruction tape but
-    owning a fresh evaluation workspace.  This is how a cached
-    compilation is handed to concurrent solvers: each domain calls
-    [share_tape] on the cache entry and works in its own scratch
-    space.  O(|tape|) allocation, no recompilation. *)
 
 type engine =
   | Tape  (** compile the objective to a tape inside [solve] (default) *)

@@ -323,8 +323,8 @@ let solve ?options ?(engine = `Tape) ?obs ?x0 params g ~procs =
         (Convex.Solver.compile_tape ?obs (fun () ->
              objective_tape_unchecked params g ~procs))
   | `Precompiled c ->
-      (* A tape-cache hit: the caller compiled (or retrieved) the tape
-         for exactly this (params, graph, procs) problem. *)
+      (* The caller emitted the tape for exactly this (params, graph,
+         procs) problem and shares it across several solves. *)
       solve_tape c
   | `Reference ->
       let avg = average_expr params g ~procs in

@@ -82,8 +82,10 @@ val solve :
     iteration and the exact Φ evaluation, and reads A_p and C_p off
     the root max's branches — no {!Convex.Expr} node is built;
     [`Precompiled c] reuses an existing compilation of {e this exact
-    problem's} objective (the plan cache's tape path — the caller is
-    responsible for the key discipline, see {!Plan_cache});
+    problem's} objective, which the caller must guarantee: the cached
+    plan path ({!Pipeline.plan}) emits one tape per solved key and
+    shares it across the cold solve, the shape seed's Φ check and the
+    seeded re-solve;
     [`Reference] builds the expression DAG and runs the original
     DAG-walking {!Convex.Expr.eval_grad} path (orders of magnitude
     slower on large MDGs; kept for cross-checking). *)

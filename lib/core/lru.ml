@@ -85,11 +85,6 @@ let set t k v =
       Hashtbl.add t.tbl k n;
       evicted
 
-let clear t =
-  Hashtbl.reset t.tbl;
-  t.head <- None;
-  t.tail <- None
-
 let to_list t =
   let rec walk acc = function
     | None -> List.rev acc

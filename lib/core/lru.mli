@@ -33,8 +33,6 @@ val set : ('k, 'v) t -> 'k -> 'v -> ('k * 'v) option
 
 val remove : ('k, 'v) t -> 'k -> unit
 
-val clear : ('k, 'v) t -> unit
-
 val to_list : ('k, 'v) t -> ('k * 'v) list
 (** Bindings from most to least recently used. *)
 

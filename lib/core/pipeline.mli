@@ -5,8 +5,7 @@
     {!plan} runs allocation (convex program) and scheduling (PSA) for
     a {!request} and returns [(plan, error) result] — every failure
     mode the pipeline can encounter (bad processor count, missing
-    calibration, invalid inputs, solver non-convergence under
-    {!config.require_convergence}) is a typed {!error}, not an
+    calibration, invalid inputs) is a typed {!error}, not an
     exception.  The same entry point serves both transports: the
     [paradigm] CLI subcommands and the socket plan server
     ({!Server.Daemon}) construct a request, call {!plan}, and render
@@ -33,16 +32,23 @@
       Pipeline.plan ~config (Pipeline.request params g ~procs)
     ]}
 
-    With a cache configured, {!plan} keys the compiled objective tape
-    and the last result by [(Mdg.Graph.structural_hash,
-    Costmodel.Params.fingerprint, procs)]: an exact duplicate request
-    is answered with the cached allocation outright (the solver is
-    deterministic, so re-solving could only reproduce it), while a
-    near-duplicate (same MDG shape, perturbed constants) is solved
-    cold with the sibling optimum offered as a candidate seed: a
-    seeded re-solve runs only when the sibling scores below the cold
-    answer, and the better of the two is kept.  The per-request
-    outcome is reported in {!plan.cache}.
+    With a cache configured, {!plan} keys the last result by
+    [(Mdg.Graph.structural_hash, Costmodel.Params.fingerprint, procs)].
+    A request takes one of two paths:
+
+    - an exact duplicate is answered with the cached allocation
+      outright (the solver is deterministic, so re-solving could only
+      reproduce it) and emits no tape;
+    - anything else goes through {!Plan_cache.coalesce}, whose leader
+      emits the objective tape once, solves, and stores the result;
+      concurrent identical requests wait for it instead of solving.
+      When the leader's key is a near-duplicate (same MDG shape,
+      perturbed constants or machine size) the shape's latest optimum
+      is offered as a candidate seed: a seeded re-solve runs only when
+      the seed scores below the cold answer, and the better of the two
+      is kept.
+
+    The per-request outcome is reported in {!plan.cache}.
 
     With a live sink the pipeline emits ["pipeline.plan"] /
     ["pipeline.allocate"] / ["pipeline.schedule"] /
@@ -58,17 +64,11 @@ type config = {
   psa_options : Psa.options;
   obs : Obs.t;
   cache : Plan_cache.t option;
-      (** shared tape/warm-start caches; [None] (default) plans cold *)
-  require_convergence : bool;
-      (** return {!error.Solver_not_converged} instead of a plan when
-          the final exact stage misses its tolerance (default
-          [false]: the iterate is still feasible and usually within
-          the solver's accuracy band, so batch callers keep it) *)
+      (** shared result cache; [None] (default) plans cold *)
 }
 
 val default_config : config
-(** Default solver and PSA options, {!Obs.null} sink, no cache, no
-    convergence requirement. *)
+(** Default solver and PSA options, {!Obs.null} sink, no cache. *)
 
 val with_solver_options : Convex.Solver.options -> config -> config
 
@@ -78,25 +78,15 @@ val with_obs : Obs.t -> config -> config
 
 val with_cache : Plan_cache.t -> config -> config
 
-val with_require_convergence : bool -> config -> config
-
 (** {2 Requests and errors} *)
 
 type request = {
   params : Costmodel.Params.t;
   graph : Mdg.Graph.t;
   procs : int;
-  x0 : Numeric.Vec.t option;
-      (** explicit warm start (log-space, indexed by the normalised
-          graph's nodes); takes precedence over the cache's seed *)
 }
 
-val request :
-  ?x0:Numeric.Vec.t ->
-  Costmodel.Params.t ->
-  Mdg.Graph.t ->
-  procs:int ->
-  request
+val request : Costmodel.Params.t -> Mdg.Graph.t -> procs:int -> request
 
 type error =
   | Invalid_procs of int
@@ -108,16 +98,14 @@ type error =
       (** structurally invalid input surfaced by a pipeline stage
           (e.g. a fixed PB that is not a power of two, an allocation
           outside the machine) *)
-  | Solver_not_converged of { iterations : int; stages : int }
-      (** only with {!config.require_convergence} *)
 
 val error_to_string : error -> string
 (** One-line human-readable rendering, stable enough for CLI output. *)
 
 val error_kind : error -> string
 (** Short machine-readable tag (["invalid_procs"],
-    ["missing_calibration"], ["invalid_request"],
-    ["solver_not_converged"]) — the wire protocol's error kind. *)
+    ["missing_calibration"], ["invalid_request"]) — the wire
+    protocol's error kind. *)
 
 exception Error of error
 (** Raised by {!plan_exn}; CLI boundaries catch it and exit 1. *)
@@ -127,7 +115,6 @@ exception Error of error
 type cache_use = Hit | Shape_hit | Miss | Off
 
 type cache_outcome = {
-  tape : cache_use;   (** [Shape_hit] never applies to tapes *)
   warm : cache_use;
   solve_skipped : bool;
       (** the allocation was served without entering the solver: an
@@ -138,8 +125,7 @@ type cache_outcome = {
       (** this request was a cache miss served by a {e concurrent}
           identical request's solve ({!Plan_cache.coalesce}): it
           blocked on the in-flight solve and shares its result instead
-          of solving again.  Requests carrying an explicit [x0] are
-          never coalesced (the seed is not part of the cache key). *)
+          of solving again. *)
 }
 
 type plan = {
@@ -160,7 +146,6 @@ val plan : ?config:config -> request -> (plan, error) result
 
 val plan_exn :
   ?config:config ->
-  ?x0:Numeric.Vec.t ->
   Costmodel.Params.t ->
   Mdg.Graph.t ->
   procs:int ->

@@ -9,7 +9,6 @@ type stats = {
   warm_misses : int;
   coalesce_leaders : int;
   coalesce_hits : int;
-  tape_entries : int;
   warm_entries : int;
 }
 
@@ -32,7 +31,6 @@ and flight_state =
 
 type t = {
   lock : Mutex.t;
-  tapes : (key, Convex.Solver.compiled) Lru.t;
   warm_exact : (key, Allocation.result) Lru.t;
   inflight : (key, flight) Hashtbl.t;
   (* Latest optimum per graph shape, per machine size: the nested
@@ -44,8 +42,6 @@ type t = {
      from the newcomer) — so a long-running server with a diverse
      request mix cannot grow it without limit. *)
   warm_shape : (int64, (int, Numeric.Vec.t) Hashtbl.t) Lru.t;
-  mutable tape_hits : int;
-  mutable tape_misses : int;
   mutable warm_hits : int;
   mutable warm_shape_hits : int;
   mutable warm_procs_hits : int;
@@ -58,17 +54,14 @@ type t = {
    per-shape entries already spans the realistic [procs] range. *)
 let max_procs_per_shape = 8
 
-let create ?(max_tapes = 64) ?(max_warm = 512) ?(max_shapes = 256) () =
-  if max_tapes < 1 || max_warm < 1 || max_shapes < 1 then
+let create ?(max_warm = 512) ?(max_shapes = 256) () =
+  if max_warm < 1 || max_shapes < 1 then
     invalid_arg "Plan_cache.create: bounds must be >= 1";
   {
     lock = Mutex.create ();
-    tapes = Lru.create max_tapes;
     warm_exact = Lru.create max_warm;
     warm_shape = Lru.create max_shapes;
     inflight = Hashtbl.create 16;
-    tape_hits = 0;
-    tape_misses = 0;
     warm_hits = 0;
     warm_shape_hits = 0;
     warm_procs_hits = 0;
@@ -78,30 +71,6 @@ let create ?(max_tapes = 64) ?(max_warm = 512) ?(max_shapes = 256) () =
   }
 
 let locked t f = Mutex.protect t.lock f
-
-let tape t key ~compile =
-  let cached =
-    locked t (fun () ->
-        match Lru.find t.tapes key with
-        | Some c ->
-            t.tape_hits <- t.tape_hits + 1;
-            Some c
-        | None ->
-            t.tape_misses <- t.tape_misses + 1;
-            None)
-  in
-  match cached with
-  | Some c -> (Convex.Solver.share_tape c, `Hit)
-  | None ->
-      (* Compile outside the lock: tape compilation of a large MDG is
-         the expensive step, and other keys' requests must not queue
-         behind it.  A concurrent miss on the same key compiles twice
-         and the second insertion is dropped. *)
-      let c = compile () in
-      locked t (fun () ->
-          if not (Lru.mem t.tapes key) then
-            ignore (Lru.set t.tapes key c : (key * _) option));
-      (c, `Miss)
 
 (* Private copies both ways: cached optima must not alias arrays the
    caller (or a concurrent domain) can mutate. *)
@@ -166,12 +135,6 @@ let warm t key =
                       t.warm_misses <- t.warm_misses + 1;
                       None))))
 
-let tape_cached t key =
-  locked t (fun () ->
-      let resident = Lru.mem t.tapes key in
-      if resident then t.tape_hits <- t.tape_hits + 1;
-      resident)
-
 let store_warm t key result =
   let result = copy_result result in
   locked t (fun () ->
@@ -218,19 +181,34 @@ let coalesce t key ~solve =
         | Some f ->
             f.fwaiters <- f.fwaiters + 1;
             `Follow f
-        | None ->
-            let f = { fcond = Condition.create (); fstate = Pending; fwaiters = 0 } in
-            Hashtbl.replace t.inflight key f;
-            t.coalesce_leaders <- t.coalesce_leaders + 1;
-            `Lead f)
+        | None -> (
+            match Lru.find t.warm_exact key with
+            | Some r ->
+                (* A flight for [key] was stored and published between
+                   the caller's [warm] miss and this lock: serve its
+                   result instead of solving the key a second time. *)
+                t.coalesce_hits <- t.coalesce_hits + 1;
+                `Served (copy_result r)
+            | None ->
+                let f =
+                  {
+                    fcond = Condition.create ();
+                    fstate = Pending;
+                    fwaiters = 0;
+                  }
+                in
+                Hashtbl.replace t.inflight key f;
+                t.coalesce_leaders <- t.coalesce_leaders + 1;
+                `Lead f))
   in
   match role with
+  | `Served r -> (r, `Follower)
   | `Lead f -> (
       (* The solve runs outside the lock: it re-enters the cache
-         ([tape]/[warm]/[store_warm]) and can take hundreds of
-         milliseconds.  Publication removes the flight first, so a
-         request arriving after completion starts fresh (and will find
-         the stored warm entry instead of a stale flight). *)
+         ([store_warm]) and can take hundreds of milliseconds.
+         Publication removes the flight first, so a request arriving
+         after completion starts fresh (and will find the stored warm
+         entry instead of a stale flight). *)
       let publish state =
         locked t (fun () ->
             f.fstate <- state;
@@ -273,31 +251,15 @@ let waiting t key =
 let stats t =
   locked t (fun () ->
       {
-        tape_hits = t.tape_hits;
-        tape_misses = t.tape_misses;
+        (* Every tape emission happens in a coalesce leader's solve,
+           and only exact hits are served without one. *)
+        tape_hits = t.warm_hits;
+        tape_misses = t.coalesce_leaders;
         warm_hits = t.warm_hits;
         warm_shape_hits = t.warm_shape_hits;
         warm_procs_hits = t.warm_procs_hits;
         warm_misses = t.warm_misses;
         coalesce_leaders = t.coalesce_leaders;
         coalesce_hits = t.coalesce_hits;
-        tape_entries = Lru.length t.tapes;
         warm_entries = Lru.length t.warm_exact;
       })
-
-let clear t =
-  locked t (fun () ->
-      Lru.clear t.tapes;
-      Lru.clear t.warm_exact;
-      Lru.clear t.warm_shape;
-      (* In-flight solves are left alone: their leaders publish to the
-         flight records the waiters hold directly, so clearing mid-solve
-         cannot strand anyone. *)
-      t.tape_hits <- 0;
-      t.tape_misses <- 0;
-      t.warm_hits <- 0;
-      t.warm_shape_hits <- 0;
-      t.warm_procs_hits <- 0;
-      t.warm_misses <- 0;
-      t.coalesce_leaders <- 0;
-      t.coalesce_hits <- 0)

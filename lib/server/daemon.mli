@@ -12,14 +12,16 @@
     ({!Protocol}) for the lifetime of its connection, answering every
     request line with exactly one reply line.  Malformed input
     produces an [Error_reply], never a crash or a dropped
-    connection.
+    connection.  A request line longer than {!max_line_bytes} is the
+    one malformed input that also closes the connection, after a typed
+    [request_too_large] reply.
 
     All workers share one {!Core.Plan_cache} through the
-    {!Core.Pipeline.config} they plan with, so the compiled-tape and
-    warm-start caches warm up across clients: the steady state for a
-    repetitive request mix is an exact warm-cache hit, answered with
-    the stored result without entering the solver
-    ([solve_skipped] in {!Core.Pipeline.cache_outcome}).
+    {!Core.Pipeline.config} they plan with, so its result cache warms
+    up across clients: the steady state for a repetitive request mix
+    is an exact warm-cache hit, answered with the stored result
+    without entering the solver ([solve_skipped] in
+    {!Core.Pipeline.cache_outcome}).
 
     {!stop} is graceful: the listener closes immediately, workers
     finish the request they are executing and any further requests
@@ -70,9 +72,17 @@ val default_options : options
 
 type t
 
+val max_line_bytes : int
+(** The longest request line a worker reads: 16 MiB.  A longer line is
+    answered with one typed [request_too_large] error and the
+    connection is closed; no over-long line reaches the decoder. *)
+
 val start : ?options:options -> unit -> t
 (** Bind, listen and spawn the acceptor and worker domains.  Raises
-    [Unix.Unix_error] if the address cannot be bound. *)
+    [Unix.Unix_error] if the address cannot be bound.
+
+    Also process-wide: ignores SIGPIPE and raises the GC's
+    [space_overhead] to at least 400 (a larger setting is kept). *)
 
 val port : t -> int
 (** The bound TCP port — the actual one when [options.port = 0]. *)

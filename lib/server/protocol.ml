@@ -161,7 +161,6 @@ type plan_summary = {
   iterations : int;
   stages : int;
   converged : bool;
-  tape_cache : string;
   warm_cache : string;
   solve_skipped : bool;
   coalesced : bool;
@@ -214,7 +213,6 @@ let plan_reply ~id (plan : Core.Pipeline.plan) =
          ( "cache",
            Json.Obj
              [
-               ("tape", Json.Str (cache_use_to_string plan.cache.tape));
                ("warm", Json.Str (cache_use_to_string plan.cache.warm));
                ("solve_skipped", Json.Bool plan.cache.solve_skipped);
                ("coalesced", Json.Bool plan.cache.coalesced);
@@ -262,7 +260,6 @@ let stats_reply ~id ?server (s : Core.Plan_cache.stats) =
                 ("warm_misses", Json.int s.warm_misses);
                 ("coalesce_leaders", Json.int s.coalesce_leaders);
                 ("coalesce_hits", Json.int s.coalesce_hits);
-                ("tape_entries", Json.int s.tape_entries);
                 ("warm_entries", Json.int s.warm_entries);
               ] );
         ]
@@ -341,7 +338,6 @@ let decode_plan_summary j =
     | _ -> Error "field \"converged\": expected a bool"
   in
   let* cache = Json.field "cache" j in
-  let* tape_cache = Json.str_field "tape" cache in
   let* warm_cache = Json.str_field "warm" cache in
   let* solve_skipped =
     match Json.member "solve_skipped" cache with
@@ -367,7 +363,6 @@ let decode_plan_summary j =
       iterations;
       stages;
       converged;
-      tape_cache;
       warm_cache;
       solve_skipped;
       coalesced;
@@ -383,7 +378,6 @@ let decode_stats j =
   let* warm_misses = Json.int_field "warm_misses" s in
   let* coalesce_leaders = Json.int_field "coalesce_leaders" s in
   let* coalesce_hits = Json.int_field "coalesce_hits" s in
-  let* tape_entries = Json.int_field "tape_entries" s in
   let* warm_entries = Json.int_field "warm_entries" s in
   Ok
     {
@@ -395,7 +389,6 @@ let decode_stats j =
       warm_misses;
       coalesce_leaders;
       coalesce_hits;
-      tape_entries;
       warm_entries;
     }
 

@@ -35,17 +35,20 @@
        "pb":8,"procs":64,"nodes":25,
        "alloc":[...],"rounded_alloc":[...],
        "solver":{"iterations":312,"stages":5,"converged":true},
-       "cache":{"tape":"hit","warm":"hit","solve_skipped":true}}
+       "cache":{"warm":"hit","solve_skipped":true,"coalesced":false}}
     v}
 
     Failures — malformed JSON, an invalid MDG, or any typed
     {!Core.Pipeline.error} — answer [status = "error"] with a
-    machine-readable ["kind"] (the {!Core.Pipeline.error_kind} tags
-    plus ["protocol_error"] and ["overloaded"]) and a human-readable
-    ["message"].  A malformed line never terminates the connection;
-    an ["overloaded"] shed reply (carrying a ["retry_after_ms"] hint)
-    is the one reply after which the server closes the connection —
-    the request was never admitted. *)
+    machine-readable ["kind"] and a human-readable ["message"].  The
+    kinds are the {!Core.Pipeline.error_kind} tags plus
+    ["protocol_error"] (a malformed line), ["internal_error"] (a bug
+    in a pipeline stage), ["overloaded"] (the connection was shed) and
+    ["request_too_large"] (a request line longer than the daemon's
+    16 MiB cap).  A malformed line never terminates the connection.
+    After an ["overloaded"] reply (which carries a ["retry_after_ms"]
+    hint; the request was never admitted) or a ["request_too_large"]
+    reply the server closes the connection. *)
 
 (** {2 Requests} *)
 
@@ -99,8 +102,7 @@ type plan_summary = {
   iterations : int;
   stages : int;
   converged : bool;
-  tape_cache : string;  (** ["hit"] / ["miss"] / ["off"] *)
-  warm_cache : string;  (** plus ["shape_hit"] *)
+  warm_cache : string;  (** ["hit"] / ["shape_hit"] / ["miss"] / ["off"] *)
   solve_skipped : bool;
   coalesced : bool;
       (** served by a concurrent identical request's solve

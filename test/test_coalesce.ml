@@ -5,6 +5,8 @@
    - leader failure: the exception is re-raised in every waiter — no
      waiter hangs — and the flight is cleaned up so a retry solves
      fresh;
+   - late miss: a request that finds no flight but a stored result for
+     its key is served that result without a solve;
    - pipeline level: K domains planning the same request through one
      shared cache compile exactly one tape and receive bit-identical
      plans;
@@ -118,6 +120,23 @@ let test_leader_failure_propagates () =
   Alcotest.(check bool) "retry leads a fresh flight" true (role = `Leader);
   Alcotest.(check (float 0.0)) "retry solved fresh" 2.0 r.phi
 
+(* A request whose [warm] lookup missed just before a leader stored and
+   published its result reaches [coalesce] with no flight left: it must
+   get the stored result, not solve the key again. *)
+let test_late_miss_served_from_store () =
+  let cache = PC.create () in
+  let key = key () in
+  PC.store_warm cache key (fake_result 3 1.5);
+  let r, role =
+    PC.coalesce cache key ~solve:(fun () ->
+        Alcotest.fail "a stored key was solved again")
+  in
+  Alcotest.(check bool) "served as a follower" true (role = `Follower);
+  Alcotest.(check (float 0.0)) "stored phi" 1.5 r.phi;
+  let stats = PC.stats cache in
+  Alcotest.(check int) "no leader" 0 stats.coalesce_leaders;
+  Alcotest.(check int) "counted as a coalesce hit" 1 stats.coalesce_hits
+
 (* A reusable start-line: released once every party has arrived, so
    the K pipeline calls below actually race. *)
 let barrier k =
@@ -197,6 +216,8 @@ let suite =
       test_k_misses_one_solve;
     Alcotest.test_case "leader failure wakes every waiter" `Quick
       test_leader_failure_propagates;
+    Alcotest.test_case "late miss served from the stored result" `Quick
+      test_late_miss_served_from_store;
     Alcotest.test_case "pipeline race: one compile, identical plans" `Quick
       test_pipeline_race;
     QCheck_alcotest.to_alcotest prop_race_one_solve;

@@ -204,6 +204,39 @@ let test_server_pipelined_pings () =
   done;
   Domain.join writer
 
+(* A client that never sends '\n' may not grow the server's line
+   buffer without bound: one byte past the cap draws a typed
+   [request_too_large] reply, then the server closes the connection,
+   and other connections are unaffected. *)
+let test_server_line_cap () =
+  with_server @@ fun srv ->
+  let fd = Unix.socket ~cloexec:true Unix.PF_INET Unix.SOCK_STREAM 0 in
+  Fun.protect ~finally:(fun () ->
+      try Unix.close fd with Unix.Unix_error _ -> ())
+  @@ fun () ->
+  Unix.connect fd (Unix.ADDR_INET (Unix.inet_addr_loopback, Srv.port srv));
+  let data = Bytes.make (Srv.max_line_bytes + 1) 'x' in
+  let rec send off =
+    if off < Bytes.length data then
+      send (off + Unix.write fd data off (Bytes.length data - off))
+  in
+  send 0;
+  let ic = Unix.in_channel_of_descr fd in
+  (match Protocol.decode_reply (input_line ic) with
+  | Ok (_, Protocol.Error_reply { kind; _ }) ->
+      Alcotest.(check string) "typed error" "request_too_large" kind
+  | Ok _ -> Alcotest.fail "expected an error reply"
+  | Error msg -> Alcotest.failf "unparseable reply: %s" msg);
+  (match input_line ic with
+  | line -> Alcotest.failf "connection still open, got %S" line
+  | exception End_of_file -> ());
+  with_client srv @@ fun c -> get (Client.ping c)
+
+let test_server_gc_floor () =
+  with_server @@ fun _ ->
+  Alcotest.(check bool) "space_overhead raised to the floor" true
+    ((Gc.get ()).space_overhead >= 400)
+
 let test_server_typed_errors () =
   with_server @@ fun srv ->
   with_client srv @@ fun c ->
@@ -236,9 +269,10 @@ let test_server_cache_over_wire () =
   with_client srv @@ fun c ->
   let g = diamond () in
   let first = get (Client.plan c g ~procs:16) in
-  Alcotest.(check string) "first request misses tape" "miss" first.tape_cache;
+  Alcotest.(check bool) "first request solves" false first.solve_skipped;
   let second = get (Client.plan c g ~procs:16) in
-  Alcotest.(check string) "second request hits tape" "hit" second.tape_cache;
+  Alcotest.(check bool) "second request skips the solve" true
+    second.solve_skipped;
   Alcotest.(check string) "second request hits warm" "hit" second.warm_cache;
   Alcotest.(check bool) "phi unchanged" true
     (Float.abs (second.phi -. first.phi)
@@ -257,7 +291,7 @@ let test_server_cache_over_wire () =
         (List.exists
            (fun (l : Protocol.op_latency) -> l.op = "plan" && total l.buckets >= 2)
            srv.latency));
-  (* Same shape, perturbed constants: tape misses (new fingerprint)
+  (* Same shape, perturbed constants: a new fingerprint solves again,
      but the warm cache serves the shape seed. *)
   let params = Costmodel.Params.cm5 () in
   let tf = Costmodel.Params.transfer params in
@@ -265,7 +299,8 @@ let test_server_cache_over_wire () =
     Costmodel.Params.make ~transfer:{ tf with t_n = tf.t_n *. 1.05 }
   in
   let third = get (Client.plan ~params:perturbed c g ~procs:16) in
-  Alcotest.(check string) "perturbed constants: new tape" "miss" third.tape_cache;
+  Alcotest.(check bool) "perturbed constants: solves" false
+    third.solve_skipped;
   Alcotest.(check string) "perturbed constants: shape warm hit" "shape_hit"
     third.warm_cache
 
@@ -442,6 +477,10 @@ let suite =
       test_server_malformed_line;
     Alcotest.test_case "server: 4,000 pipelined pings answered in order"
       `Quick test_server_pipelined_pings;
+    Alcotest.test_case "server: over-long line gets typed reply, then close"
+      `Quick test_server_line_cap;
+    Alcotest.test_case "server: start raises the GC floor" `Quick
+      test_server_gc_floor;
     Alcotest.test_case "server: typed pipeline errors" `Quick
       test_server_typed_errors;
     Alcotest.test_case "server: caches visible over the wire" `Quick

@@ -99,6 +99,19 @@ let check_cache_sound fail g ~procs =
   let cache = Core.Plan_cache.create () in
   let config = P.(default_config |> with_cache cache) in
   let first = plan_phi ~config (P.request params g ~procs) in
+  (* A cached miss solves exactly as the uncached path does. *)
+  let cold = plan_phi (P.request params g ~procs) in
+  let bits = Array.map Int64.bits_of_float in
+  if Int64.bits_of_float (P.phi first) <> Int64.bits_of_float (P.phi cold) then
+    fail
+      (Printf.sprintf "cached miss Phi %.17g <> uncached Phi %.17g"
+         (P.phi first) (P.phi cold));
+  if bits first.allocation.alloc <> bits cold.allocation.alloc then
+    fail "cached miss allocation differs from the uncached one";
+  if
+    first.allocation.solver.iterations <> cold.allocation.solver.iterations
+    || first.allocation.solver.hvp_evals <> cold.allocation.solver.hvp_evals
+  then fail "cached miss solver counts differ from the uncached ones";
   (* Exact duplicate: served from the cache, bit-identical. *)
   let again = plan_phi ~config (P.request params g ~procs) in
   if again.cache.warm <> P.Hit then fail "second identical plan missed";
