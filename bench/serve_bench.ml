@@ -18,11 +18,15 @@
                   connections get the typed `overloaded` reply and
                   retry, nothing hangs.
 
-   Each mix emits one row (req/s, p50/p99, cache + coalesce + shed
-   columns) into BENCH_serve.json; `serve-quick` is the CI smoke
-   variant and exits non-zero if any request fails, no near-dup
-   request is an exact hit (served without entering the solver), or
-   the hot-key mix never coalesces. *)
+   `serve` runs each mix [repeats] times, because single runs of the
+   same code on a shared VM differ by up to half, and emits one row
+   per mix into BENCH_serve.json: the median and quartiles of req/s,
+   p50 and p99 over the runs, the cache, coalesce and shed columns of
+   the median run (by req/s), and failures summed over every run.
+   `serve-quick` is the CI smoke variant, one run of each mix, and
+   exits non-zero if any request fails, no near-dup request is an
+   exact hit (served without entering the solver), or the hot-key mix
+   never coalesces. *)
 
 module Daemon = Server.Daemon
 module Client = Server.Client
@@ -454,26 +458,58 @@ let run_overload ~duration ~clients ~workers ~max_pending () =
 (* Entry points                                                        *)
 (* ------------------------------------------------------------------ *)
 
-let write_json path rows =
+(* A mix's repeated runs: [median] is the run with the median req/s,
+   whose count columns the row reports; the three timing columns are
+   summarised over [runs]. *)
+type summary = { median : row; runs : row list }
+
+let repeats = 5
+
+(* Nearest-rank quartiles (q1, median, q3) of one column over the runs. *)
+let quartiles runs column =
+  let xs = Array.of_list (List.map column runs) in
+  Array.sort compare xs;
+  (percentile xs 25.0, percentile xs 50.0, percentile xs 75.0)
+
+let repeat run =
+  let runs = List.init repeats (fun _ -> run ()) in
+  List.iter print_row runs;
+  let by_rate = List.sort (fun a b -> compare a.req_per_s b.req_per_s) runs in
+  { median = List.nth by_rate (repeats / 2); runs }
+
+let write_json path summaries =
   let oc = open_out path in
-  Printf.fprintf oc "{\n  \"experiment\": \"serve\",\n  \"rows\": [\n";
+  Printf.fprintf oc "{\n  \"experiment\": \"serve\",\n  \"runs_per_mix\": %d,\n  \"rows\": [\n"
+    repeats;
   List.iteri
-    (fun i r ->
+    (fun i { median = r; runs } ->
+      let column name f =
+        let q1, med, q3 = quartiles runs f in
+        Printf.sprintf "\"%s\": %.3f, \"%s_q1\": %.3f, \"%s_q3\": %.3f" name med
+          name q1 name q3
+      in
       Printf.fprintf oc
-        "    {\"mix\": %S, \"workload\": %S, \"clients\": %d,\n\
-        \     \"duration_seconds\": %.3f, \"requests\": %d, \"failed\": %d,\n\
-        \     \"shed\": %d, \"req_per_s\": %.2f, \"p50_ms\": %.3f, \"p99_ms\": \
-         %.3f,\n\
-        \     \"warm_hit_rate\": %.4f, \"solve_skipped_rate\": %.4f, \
+        "    {\"mix\": %S, \"workload\": %S, \"clients\": %d, \"runs\": %d,\n\
+        \     %s,\n\
+        \     %s,\n\
+        \     %s,\n\
+        \     \"failed\": %d,\n\
+        \     \"median_run\": {\"duration_seconds\": %.3f, \"requests\": %d, \
+         \"shed\": %d,\n\
+        \       \"warm_hit_rate\": %.4f, \"solve_skipped_rate\": %.4f, \
          \"coalesced_rate\": %.4f,\n\
-        \     \"coalesce_hits\": %d, \"coalesce_leaders\": %d,\n\
-        \     \"server_shed\": %d, \"queue_depth_max\": %d}%s\n"
-        r.mix r.workload r.clients r.duration r.requests r.failed r.shed
-        r.req_per_s r.p50_ms r.p99_ms r.warm_hit_rate
-        r.solve_skipped_rate r.coalesced_rate r.stats.coalesce_hits
-        r.stats.coalesce_leaders r.srv_shed r.queue_depth_max
-        (if i = List.length rows - 1 then "" else ","))
-    rows;
+        \       \"coalesce_hits\": %d, \"coalesce_leaders\": %d,\n\
+        \       \"server_shed\": %d, \"queue_depth_max\": %d}}%s\n"
+        r.mix r.workload r.clients (List.length runs)
+        (column "req_per_s" (fun r -> r.req_per_s))
+        (column "p50_ms" (fun r -> r.p50_ms))
+        (column "p99_ms" (fun r -> r.p99_ms))
+        (List.fold_left (fun acc r -> acc + r.failed) 0 runs)
+        r.duration r.requests r.shed r.warm_hit_rate r.solve_skipped_rate
+        r.coalesced_rate r.stats.coalesce_hits r.stats.coalesce_leaders
+        r.srv_shed r.queue_depth_max
+        (if i = List.length summaries - 1 then "" else ","))
+    summaries;
   Printf.fprintf oc "  ]\n}\n";
   close_out oc;
   Printf.printf "wrote %s\n" path
@@ -485,17 +521,18 @@ let header title =
   print_endline (String.make 72 '-')
 
 let serve () =
-  header "Plan server under load: near-dup / cold-heavy / hot-key / overload";
-  let rows =
-    [
-      run_near_dup ~duration:10.0 ~clients:4 ~variants:3 ();
-      run_cold_heavy ~duration:10.0 ~clients:4 ();
-      run_hot_key ~rounds:8 ~clients:4 ();
-      run_overload ~duration:8.0 ~clients:6 ~workers:2 ~max_pending:1 ();
-    ]
+  header
+    (Printf.sprintf
+       "Plan server under load: near-dup / cold-heavy / hot-key / overload, \
+        %d runs each"
+       repeats);
+  let near = repeat (run_near_dup ~duration:10.0 ~clients:4 ~variants:3) in
+  let cold = repeat (run_cold_heavy ~duration:10.0 ~clients:4) in
+  let hot = repeat (run_hot_key ~rounds:8 ~clients:4) in
+  let overload =
+    repeat (run_overload ~duration:8.0 ~clients:6 ~workers:2 ~max_pending:1)
   in
-  List.iter print_row rows;
-  write_json "BENCH_serve.json" rows
+  write_json "BENCH_serve.json" [ near; cold; hot; overload ]
 
 (* CI smoke variant: short runs of the near-dup, cold-heavy and
    hot-key mixes with hard floors — any failed request, a near-dup mix

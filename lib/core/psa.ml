@@ -43,15 +43,34 @@ let apply_bound ~pb alloc =
     invalid_arg "Psa.apply_bound: PB must be a power of two";
   Array.map (fun p -> Int.min p pb) alloc
 
+(* Ready pool with deterministic ordering: (priority key, insertion
+   seq, node), compared field by field. *)
+type ready = { key : float; seq : int; node : int }
+
+module Ready = Set.Make (struct
+  type t = ready
+
+  let compare a b =
+    match Float.compare a.key b.key with
+    | 0 -> (
+        match Int.compare a.seq b.seq with
+        | 0 -> Int.compare a.node b.node
+        | c -> c)
+    | c -> c
+end)
+
 (* List scheduling.  [avail.(p)] is the time processor [p] becomes
    free.  For a node needing k processors we take the k earliest-free
-   processors; PST is the k-th smallest availability. *)
+   processors (ties by lowest id); PST is the k-th smallest
+   availability.
+
+   [order] holds every processor id sorted by (avail, id), an
+   invariant kept across nodes: a node takes its k processors from the
+   front, they all become free at the node's finish time, and one
+   merge puts them back, in ascending id, among the untouched rest. *)
 let list_schedule ~obs ~priority ~procs ~node_weight ~edge_weight ~alloc g =
   let n = G.num_nodes g in
   let avail = Array.make procs 0.0 in
-  (* Reusable buffer for selecting the k least-loaded processors —
-     the scheduler's hot path.  A partial selection over this single
-     array replaces the per-node [List.init] + full sort. *)
   let order = Array.init procs (fun p -> p) in
   let finish = Array.make n 0.0 in
   let scheduled = Array.make n false in
@@ -60,13 +79,6 @@ let list_schedule ~obs ~priority ~procs ~node_weight ~edge_weight ~alloc g =
     remaining_preds.(i) <- List.length (G.preds g i)
   done;
   let est = Array.make n 0.0 in
-  (* Ready pool with deterministic ordering. *)
-  let module Ready = Set.Make (struct
-    type t = float * int * int
-    (* (priority key, insertion seq, node) *)
-
-    let compare = compare
-  end) in
   let ready = ref Ready.empty in
   let seq = ref 0 in
   let push node =
@@ -75,7 +87,7 @@ let list_schedule ~obs ~priority ~procs ~node_weight ~edge_weight ~alloc g =
       | Lowest_est -> est.(node)
       | Fifo -> float_of_int !seq
     in
-    ready := Ready.add (key, !seq, node) !ready;
+    ready := Ready.add { key; seq = !seq; node } !ready;
     incr seq
   in
   push (G.start_node g);
@@ -84,28 +96,9 @@ let list_schedule ~obs ~priority ~procs ~node_weight ~edge_weight ~alloc g =
   while !continue do
     match Ready.min_elt_opt !ready with
     | None -> continue := false
-    | Some ((_, _, node) as elt) ->
+    | Some ({ node; _ } as elt) ->
         ready := Ready.remove elt !ready;
         let k = Int.min alloc.(node) procs in
-        (* Pick the k earliest-available processors (ties by lowest
-           id): an in-place partial selection sort of [order] — only
-           the first k positions are ordered, and nothing is
-           allocated beyond the [chosen] array the schedule entry
-           keeps anyway. *)
-        for p = 0 to procs - 1 do
-          order.(p) <- p
-        done;
-        for j = 0 to k - 1 do
-          let best = ref j in
-          for l = j + 1 to procs - 1 do
-            let pl = order.(l) and pb = order.(!best) in
-            if avail.(pl) < avail.(pb) || (avail.(pl) = avail.(pb) && pl < pb)
-            then best := l
-          done;
-          let tmp = order.(j) in
-          order.(j) <- order.(!best);
-          order.(!best) <- tmp
-        done;
         let chosen = Array.sub order 0 k in
         Array.sort Int.compare chosen;
         let pst =
@@ -115,6 +108,27 @@ let list_schedule ~obs ~priority ~procs ~node_weight ~edge_weight ~alloc g =
         let w = node_weight node in
         let fin = start +. w in
         Array.iter (fun p -> avail.(p) <- fin) chosen;
+        (* Merge [chosen] (all free at [fin], ascending id) into the
+           tail [order.(k..)], writing from the front.  The write index
+           never passes the tail's read index, and once [chosen] is
+           used up the rest of the tail is already in place. *)
+        let i = ref 0 and j = ref k in
+        while !i < k do
+          let c = chosen.(!i) in
+          if
+            !j < procs
+            &&
+            let t = order.(!j) in
+            avail.(t) < fin || (avail.(t) = fin && t < c)
+          then begin
+            order.(!i + !j - k) <- order.(!j);
+            incr j
+          end
+          else begin
+            order.(!i + !j - k) <- c;
+            incr i
+          end
+        done;
         finish.(node) <- fin;
         scheduled.(node) <- true;
         if Obs.enabled obs then

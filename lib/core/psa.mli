@@ -10,7 +10,16 @@
     + list-schedule: repeatedly pick the ready node with the lowest
       Earliest Start Time and place it on the required number of
       processors at [max(EST, PST)], where PST is the earliest time
-      that many processors are simultaneously free. *)
+      that many processors are simultaneously free.
+
+    The list scheduler keeps every processor in one array sorted by
+    (time free, id), and that order holds from node to node.  A node
+    needing k processors takes the first k, which are the k
+    earliest-free with ties to the lowest id, and one merge returns
+    them, all free at the node's finish time, to their place.  Picking
+    processors therefore costs O(p + k log k) per node on a
+    p-processor machine, not the O(k·p) of a fresh selection per
+    node, and gives the same schedule. *)
 
 type pb_choice =
   | Auto           (** Corollary 1's optimal power of two *)

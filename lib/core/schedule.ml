@@ -11,6 +11,35 @@ type t = {
   ordered : entry list;
 }
 
+(* One pass over [procs].  A decrease anywhere means "not sorted", and
+   that message wins; otherwise the first id, in array order, that is
+   outside the machine or repeats its predecessor decides the message
+   (outside wins at the same id).  Strictly increasing ids are sorted
+   and distinct. *)
+let check_procs ~machine_procs e =
+  let procs = e.procs in
+  let bad = ref (-1) in
+  for k = 0 to Array.length procs - 1 do
+    let p = procs.(k) in
+    if k > 0 && p < procs.(k - 1) then
+      invalid_arg
+        (Printf.sprintf "Schedule.make: node %d processors not sorted" e.node);
+    if
+      !bad < 0
+      && (p < 0 || p >= machine_procs || (k > 0 && p = procs.(k - 1)))
+    then bad := k
+  done;
+  if !bad >= 0 then begin
+    let p = procs.(!bad) in
+    if p < 0 || p >= machine_procs then
+      invalid_arg
+        (Printf.sprintf "Schedule.make: node %d uses processor %d outside machine"
+           e.node p)
+    else
+      invalid_arg
+        (Printf.sprintf "Schedule.make: node %d lists processor %d twice" e.node p)
+  end
+
 let make ~machine_procs entries =
   if machine_procs < 1 then invalid_arg "Schedule.make: machine_procs < 1";
   let by_node = Hashtbl.create (List.length entries) in
@@ -21,19 +50,7 @@ let make ~machine_procs entries =
           (Printf.sprintf "Schedule.make: node %d scheduled twice" e.node);
       if Array.length e.procs = 0 then
         invalid_arg (Printf.sprintf "Schedule.make: node %d has no processors" e.node);
-      let sorted = Array.copy e.procs in
-      Array.sort Int.compare sorted;
-      if sorted <> e.procs then
-        invalid_arg (Printf.sprintf "Schedule.make: node %d processors not sorted" e.node);
-      Array.iteri
-        (fun k p ->
-          if p < 0 || p >= machine_procs then
-            invalid_arg
-              (Printf.sprintf "Schedule.make: node %d uses processor %d outside machine" e.node p);
-          if k > 0 && sorted.(k - 1) = p then
-            invalid_arg
-              (Printf.sprintf "Schedule.make: node %d lists processor %d twice" e.node p))
-        sorted;
+      check_procs ~machine_procs e;
       if
         e.start < 0.0 || e.finish < e.start
         || not (Float.is_finite e.start && Float.is_finite e.finish)
@@ -42,7 +59,12 @@ let make ~machine_procs entries =
       Hashtbl.add by_node e.node e)
     entries;
   let ordered =
-    List.sort (fun a b -> compare (a.start, a.node) (b.start, b.node)) entries
+    List.sort
+      (fun a b ->
+        match Float.compare a.start b.start with
+        | 0 -> Int.compare a.node b.node
+        | c -> c)
+      entries
   in
   { machine_procs; by_node; ordered }
 

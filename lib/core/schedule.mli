@@ -15,8 +15,13 @@ type t
 
 val make : machine_procs:int -> entry list -> t
 (** Builds and validates basic well-formedness: every processor id is
-    inside the machine, intervals are ordered, one entry per node.
-    Raises [Invalid_argument] otherwise. *)
+    inside the machine, each entry's ids are sorted and distinct,
+    intervals are ordered, one entry per node.  Raises
+    [Invalid_argument] otherwise, naming the first broken rule in that
+    checking order: a repeated node, no processors, ids not sorted
+    (anywhere in the entry), then the first id, in array order, that is
+    outside the machine or listed twice, then a bad interval.  One pass
+    over each entry's ids checks them. *)
 
 val machine_procs : t -> int
 

@@ -16,7 +16,9 @@ type t = {
 let check_transfer tr =
   let nonneg name v =
     if v < 0.0 || not (Float.is_finite v) then
-      invalid_arg (Printf.sprintf "Params: negative transfer parameter %s" name)
+      invalid_arg
+        (Printf.sprintf "Params: transfer parameter %s is negative or not finite"
+           name)
   in
   nonneg "t_ss" tr.t_ss;
   nonneg "t_ps" tr.t_ps;

@@ -26,11 +26,16 @@ let escape buf s =
     s;
   Buffer.add_char buf '"'
 
+(* Printf's [%.0f] and [%.17g] conversions are this primitive applied
+   to the same format string, so the text is the same without
+   Printf's format interpretation. *)
+external format_float : string -> float -> string = "caml_format_float"
+
 let add_num buf x =
   if Float.is_integer x && Float.abs x <= 9.007199254740992e15 then
-    Buffer.add_string buf (Printf.sprintf "%.0f" x)
+    Buffer.add_string buf (format_float "%.0f" x)
   else if Float.is_finite x then
-    Buffer.add_string buf (Printf.sprintf "%.17g" x)
+    Buffer.add_string buf (format_float "%.17g" x)
   else
     (* JSON has no infinities/NaN; null is the conventional stand-in. *)
     Buffer.add_string buf "null"
@@ -69,6 +74,8 @@ let to_string v =
 (* ------------------------------------------------------------------ *)
 
 exception Bad of int * string
+
+let max_depth = 64
 
 let of_string s =
   let n = String.length s in
@@ -125,10 +132,32 @@ let of_string s =
     | Some x -> x
     | None -> fail "malformed number"
   in
+  (* The two scans below keep their index in a local ref and read
+     unchecked only after testing it against [n]. *)
   let string_ () =
     expect '"';
-    let buf = Buffer.create 16 in
+    (* The string's span in the input, up to its closing quote (or the
+       end of input): the decoded text is never longer. *)
+    let stop = ref !pos in
+    while !stop < n && String.unsafe_get s !stop <> '"' do
+      stop := !stop + if String.unsafe_get s !stop = '\\' then 2 else 1
+    done;
+    let buf = Buffer.create (Int.min n !stop - !pos) in
     let rec go () =
+      (* A run of bytes that need no decoding (no quote, backslash or
+         control character) is copied with one blit. *)
+      let run = !pos in
+      let i = ref run in
+      while
+        !i < n
+        &&
+        let c = String.unsafe_get s !i in
+        c <> '"' && c <> '\\' && c >= ' '
+      do
+        incr i
+      done;
+      pos := !i;
+      Buffer.add_substring buf s run (!i - run);
       if !pos >= n then fail "unterminated string"
       else
         match s.[!pos] with
@@ -171,16 +200,13 @@ let of_string s =
                        end)
                | c -> fail "bad escape \\%c" c);
             go ()
-        | c when Char.code c < 0x20 -> fail "raw control character in string"
-        | c ->
-            Buffer.add_char buf c;
-            advance ();
-            go ()
+        | _ -> fail "raw control character in string"
     in
     go ();
     Buffer.contents buf
   in
-  let rec value () =
+  (* [depth] counts the arrays and objects open around the value. *)
+  let rec value depth =
     skip_ws ();
     match peek () with
     | None -> fail "unexpected end of input"
@@ -188,6 +214,8 @@ let of_string s =
     | Some 't' -> literal "true" (Bool true)
     | Some 'f' -> literal "false" (Bool false)
     | Some '"' -> Str (string_ ())
+    | Some ('[' | '{') when depth >= max_depth ->
+        fail "arrays and objects nested deeper than %d levels" max_depth
     | Some '[' ->
         advance ();
         skip_ws ();
@@ -196,11 +224,11 @@ let of_string s =
           List []
         end
         else begin
-          let items = ref [ value () ] in
+          let items = ref [ value (depth + 1) ] in
           skip_ws ();
           while peek () = Some ',' do
             advance ();
-            items := value () :: !items;
+            items := value (depth + 1) :: !items;
             skip_ws ()
           done;
           expect ']';
@@ -219,7 +247,7 @@ let of_string s =
             let k = string_ () in
             skip_ws ();
             expect ':';
-            let v = value () in
+            let v = value (depth + 1) in
             (k, v)
           in
           let fields = ref [ entry () ] in
@@ -236,7 +264,7 @@ let of_string s =
     | Some c -> fail "unexpected character %C" c
   in
   match
-    let v = value () in
+    let v = value 0 in
     skip_ws ();
     if !pos <> n then fail "trailing characters after value";
     v

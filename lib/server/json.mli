@@ -10,7 +10,9 @@
 
     Numbers are [float]s (as in JSON itself); integral values within
     [2^53] print without a fractional part, so OCaml [int] fields
-    round-trip exactly through {!int_field}. *)
+    round-trip exactly through {!int_field}.  Number text is
+    [Printf]'s: ["%.0f"] for those integers, ["%.17g"] (which reads
+    back to the same double) for every other finite number. *)
 
 type t =
   | Null
@@ -24,10 +26,16 @@ val to_string : t -> string
 (** Compact rendering, single line (strings escape control
     characters). *)
 
+val max_depth : int
+(** [64]: the most arrays and objects {!of_string} accepts nested
+    inside one another.  The deepest message of {!Protocol} nests 6. *)
+
 val of_string : string -> (t, string) result
 (** Strict parse of exactly one JSON value (surrounding whitespace
     allowed).  [Error] carries a one-line description with a byte
-    offset. *)
+    offset.  A value nested deeper than {!max_depth} is an [Error]
+    naming the limit, so the parser's recursion (and the stack of the
+    domain that runs it) stays bounded whatever the input. *)
 
 (** {2 Construction helpers} *)
 

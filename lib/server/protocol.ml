@@ -39,8 +39,10 @@ let params_of_json j =
   let* t_sr = Json.num_field "t_sr" tf in
   let* t_pr = Json.num_field "t_pr" tf in
   let* t_n = Json.num_field "t_n" tf in
-  let params =
-    Costmodel.Params.make ~transfer:{ t_ss; t_ps; t_sr; t_pr; t_n }
+  let* params =
+    match Costmodel.Params.make ~transfer:{ t_ss; t_ps; t_sr; t_pr; t_n } with
+    | params -> Ok params
+    | exception Invalid_argument msg -> Error msg
   in
   let entries =
     match Json.member "processing" j with

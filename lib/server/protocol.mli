@@ -45,7 +45,12 @@
     ["protocol_error"] (a malformed line), ["internal_error"] (a bug
     in a pipeline stage), ["overloaded"] (the connection was shed) and
     ["request_too_large"] (a request line longer than the daemon's
-    16 MiB cap).  A malformed line never terminates the connection.
+    16 MiB cap).  A line nesting arrays and objects deeper than
+    {!Json.max_depth} (64) levels is malformed, and so are cost
+    constants that {!Costmodel.Params} rejects (a negative or
+    non-finite transfer constant, say); both answer
+    ["protocol_error"] with a message naming the limit or the
+    constant.  A malformed line never terminates the connection.
     After an ["overloaded"] reply (which carries a ["retry_after_ms"]
     hint; the request was never admitted) or a ["request_too_large"]
     reply the server closes the connection. *)
@@ -87,6 +92,7 @@ val encode_ping_request : ?id:Json.t -> unit -> Json.t
 val params_to_json : Costmodel.Params.t -> Json.t
 
 val params_of_json : Json.t -> (Costmodel.Params.t, string) result
+(** [Error] names the offending field or constant; never raises. *)
 
 (** {2 Replies} *)
 

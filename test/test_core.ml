@@ -61,7 +61,28 @@ let test_schedule_rejects_bad_entries () =
     (Invalid_argument "Schedule.make: node 0 has a bad interval") (fun () ->
       ignore
         (Schedule.make ~machine_procs:2
-           [ { Schedule.node = 0; procs = [| 0 |]; start = 2.0; finish = 1.0 } ]))
+           [ { Schedule.node = 0; procs = [| 0 |]; start = 2.0; finish = 1.0 } ]));
+  let procs_error name ~machine_procs procs msg =
+    Alcotest.check_raises name (Invalid_argument ("Schedule.make: node 0 " ^ msg))
+      (fun () ->
+        ignore
+          (Schedule.make ~machine_procs
+             [ { Schedule.node = 0; procs; start = 0.0; finish = 1.0 } ]))
+  in
+  procs_error "not sorted" ~machine_procs:4 [| 1; 0 |] "processors not sorted";
+  procs_error "listed twice" ~machine_procs:4 [| 0; 1; 1 |]
+    "lists processor 1 twice";
+  (* One entry breaking several rules: a decrease anywhere wins, then
+     the first offending id in array order, and at one id "outside"
+     wins over "twice". *)
+  procs_error "not sorted beats outside" ~machine_procs:2 [| 5; 0 |]
+    "processors not sorted";
+  procs_error "not sorted beats an earlier repeat" ~machine_procs:2 [| 1; 1; 0 |]
+    "processors not sorted";
+  procs_error "first offending id wins" ~machine_procs:2 [| 0; 0; 7 |]
+    "lists processor 0 twice";
+  procs_error "outside beats twice at one id" ~machine_procs:2 [| 7; 7 |]
+    "uses processor 7 outside machine"
 
 let test_schedule_validate_catches_overlap () =
   let g = Kernels.Workloads.fully_independent ~count:2 ~tau:1.0 ~alpha:0.0 in
@@ -271,12 +292,12 @@ let test_psa_fifo_ablation_no_better () =
   Alcotest.(check bool) "EST <= FIFO * 1.5" true
     (psa_est.t_psa <= psa_fifo.t_psa *. 1.5)
 
-(* The PSA's processor-selection hot path was rewritten from a
-   per-node list allocation + full sort to an in-place partial
-   selection.  This reference implementation is the original
-   list-based algorithm; schedules must be identical (same processor
-   sets, same times) on real MDGs and random workloads. *)
-let reference_list_schedule params g ~procs ~rounded =
+(* Reference list scheduler: the original list-based algorithm, which
+   sorts every processor by (avail, id) for each node and keeps the
+   first k.  The library keeps an (avail, id)-ordered array across
+   nodes instead; schedules must be identical bit for bit (same
+   processor sets, same start and finish times). *)
+let reference_list_schedule ~priority params g ~procs ~rounded =
   let module Ready = Set.Make (struct
     type t = float * int * int
 
@@ -295,7 +316,12 @@ let reference_list_schedule params g ~procs ~rounded =
   let ready = ref Ready.empty in
   let seq = ref 0 in
   let push node =
-    ready := Ready.add (est.(node), !seq, node) !ready;
+    let key =
+      match priority with
+      | Psa.Lowest_est -> est.(node)
+      | Psa.Fifo -> float_of_int !seq
+    in
+    ready := Ready.add (key, !seq, node) !ready;
     incr seq
   in
   push (G.start_node g);
@@ -333,6 +359,75 @@ let reference_list_schedule params g ~procs ~rounded =
   done;
   Schedule.make ~machine_procs:procs (List.rev !entries)
 
+(* The whole PSA around the reference scheduler: PB choice, rounding
+   and bounding as the paper states them. *)
+let reference_psa ~(options : Psa.options) params g ~procs ~alloc =
+  let pb =
+    match options.pb with
+    | Psa.Auto -> Bounds.optimal_pb ~procs
+    | Psa.Fixed pb -> pb
+    | Psa.Unbounded -> Numeric.Pow2.floor_pow2 procs
+  in
+  let rounded =
+    Psa.apply_bound ~pb
+      (Psa.round_allocation ~rounding:options.rounding ~procs alloc)
+  in
+  let schedule =
+    reference_list_schedule ~priority:options.priority params g ~procs ~rounded
+  in
+  (schedule, rounded, pb)
+
+(* Every PB x rounding x priority choice; [fixed_pb] must be a power
+   of two <= procs. *)
+let all_psa_options ~fixed_pb =
+  List.concat_map
+    (fun pb ->
+      List.concat_map
+        (fun rounding ->
+          List.map
+            (fun priority -> { Psa.pb; rounding; priority })
+            [ Psa.Lowest_est; Psa.Fifo ])
+        [ Psa.Nearest; Psa.Floor; Psa.Ceil ])
+    [ Psa.Auto; Psa.Fixed fixed_pb; Psa.Unbounded ]
+
+let options_to_string (o : Psa.options) =
+  Printf.sprintf "pb=%s rounding=%s priority=%s"
+    (match o.pb with
+    | Psa.Auto -> "auto"
+    | Psa.Fixed pb -> string_of_int pb
+    | Psa.Unbounded -> "unbounded")
+    (match o.rounding with
+    | Psa.Nearest -> "nearest"
+    | Psa.Floor -> "floor"
+    | Psa.Ceil -> "ceil")
+    (match o.priority with Psa.Lowest_est -> "est" | Psa.Fifo -> "fifo")
+
+(* [None] when [Psa.schedule] equals the reference bit for bit, else
+   the first difference. *)
+let psa_reference_mismatch ~options params g ~procs ~alloc =
+  let psa = Psa.schedule ~options params g ~procs ~alloc in
+  let reference, rounded, pb = reference_psa ~options params g ~procs ~alloc in
+  let bits = Int64.bits_of_float in
+  let entry_mismatch (a : Schedule.entry) (b : Schedule.entry) =
+    if a.node <> b.node then Some (Printf.sprintf "node %d vs %d" a.node b.node)
+    else if a.procs <> b.procs then
+      Some (Printf.sprintf "node %d: processor sets differ" a.node)
+    else if bits a.start <> bits b.start then
+      Some (Printf.sprintf "node %d: start %h vs %h" a.node a.start b.start)
+    else if bits a.finish <> bits b.finish then
+      Some (Printf.sprintf "node %d: finish %h vs %h" a.node a.finish b.finish)
+    else None
+  in
+  let ref_t_psa = (Schedule.entry reference (G.stop_node g)).finish in
+  if psa.pb <> pb then Some (Printf.sprintf "pb %d vs %d" psa.pb pb)
+  else if psa.rounded_alloc <> rounded then Some "rounded_alloc differs"
+  else if bits psa.t_psa <> bits ref_t_psa then
+    Some (Printf.sprintf "t_psa %h vs %h" psa.t_psa ref_t_psa)
+  else
+    let a = Schedule.entries psa.schedule and b = Schedule.entries reference in
+    if List.length a <> List.length b then Some "entry counts differ"
+    else List.find_map Fun.id (List.map2 entry_mismatch a b)
+
 let matrix_params kernels =
   let p = synth_params () in
   List.iter
@@ -364,23 +459,90 @@ let test_psa_selection_matches_reference () =
     (fun (name, g, params) ->
       List.iter
         (fun procs ->
-          let alloc = (Allocation.solve params g ~procs).alloc in
-          let psa = Psa.schedule params g ~procs ~alloc in
-          let reference =
-            reference_list_schedule params g ~procs
-              ~rounded:psa.rounded_alloc
-          in
-          List.iter2
-            (fun (a : Schedule.entry) (b : Schedule.entry) ->
-              let ctx = Printf.sprintf "%s p=%d node %d" name procs a.node in
-              Alcotest.(check int) (ctx ^ " node") b.node a.node;
-              Alcotest.(check (array int)) (ctx ^ " procs") b.procs a.procs;
-              check_close (ctx ^ " start") b.start a.start;
-              check_close (ctx ^ " finish") b.finish a.finish)
-            (Schedule.entries psa.schedule)
-            (Schedule.entries reference))
+          let solved = (Allocation.solve params g ~procs).alloc in
+          let ones = Array.make (G.num_nodes g) 1.0 in
+          List.iter
+            (fun (alloc_name, alloc) ->
+              List.iter
+                (fun options ->
+                  match
+                    psa_reference_mismatch ~options params g ~procs ~alloc
+                  with
+                  | None -> ()
+                  | Some msg ->
+                      Alcotest.failf "%s p=%d %s alloc, %s: %s" name procs
+                        alloc_name (options_to_string options) msg)
+                (all_psa_options ~fixed_pb:(Numeric.Pow2.floor_pow2 procs / 2)))
+            [ ("solved", solved); ("all-ones", ones) ])
         [ 4; 16; 64 ])
     cases
+
+(* The same comparison over random graphs, machine sizes and
+   allocations.  All-ones allocations put many processors at equal
+   availability, so the (avail, id) tie-break decides most
+   selections. *)
+type psa_case = {
+  graph : [ `Layered of Generators.layered | `Workgen of Generators.workgen ];
+  procs : int;
+  ones : bool;
+  alloc_seed : int;
+  pb_exp : int;
+}
+
+let psa_case_print c =
+  Printf.sprintf "%s procs=%d %s alloc_seed=%d pb_exp=%d"
+    (match c.graph with
+    | `Layered l -> Generators.layered_print l
+    | `Workgen w -> Generators.workgen_print w)
+    c.procs
+    (if c.ones then "all-ones" else "uniform")
+    c.alloc_seed c.pb_exp
+
+let psa_case =
+  let gen =
+    QCheck.Gen.(
+      let* graph =
+        oneof
+          [
+            map (fun l -> `Layered l) (QCheck.gen (Generators.layered ()));
+            map (fun w -> `Workgen w) (QCheck.gen (Generators.workgen_case ()));
+          ]
+      in
+      let* procs = oneofl [ 1; 2; 3; 5; 8; 12; 16; 33; 64; 100; 128 ] in
+      let* ones = frequencyl [ (1, true); (3, false) ] in
+      let* alloc_seed = int_bound 1_000_000 in
+      let* pb_exp = int_bound 7 in
+      return { graph; procs; ones; alloc_seed; pb_exp })
+  in
+  QCheck.make ~print:psa_case_print gen
+
+let prop_psa_matches_reference =
+  QCheck.Test.make ~name:"psa: list schedule == reference, bit for bit"
+    ~count:(Generators.count 200) psa_case (fun c ->
+      let g =
+        match c.graph with
+        | `Layered l -> Generators.mdg_of_layered l
+        | `Workgen w -> Generators.mdg_of_workgen w
+      in
+      let params = synth_params () in
+      let n = G.num_nodes g in
+      let rng = Random.State.make [| c.alloc_seed |] in
+      let alloc =
+        if c.ones then Array.make n 1.0
+        else
+          Array.init n (fun _ ->
+              1.0 +. Random.State.float rng (float_of_int (c.procs - 1)))
+      in
+      let top = Numeric.Pow2.floor_pow2 c.procs in
+      let fixed_pb = Int.min top (1 lsl c.pb_exp) in
+      List.iter
+        (fun options ->
+          match psa_reference_mismatch ~options params g ~procs:c.procs ~alloc with
+          | None -> ()
+          | Some msg ->
+              QCheck.Test.fail_reportf "%s: %s" (options_to_string options) msg)
+        (all_psa_options ~fixed_pb);
+      true)
 
 (* Theorem properties on random graphs. *)
 let theorem_prop ~name ~count check =
@@ -561,6 +723,7 @@ let suite =
     Alcotest.test_case "psa: lower bounds hold" `Quick test_psa_lower_bounds_hold;
     Alcotest.test_case "psa: partial selection == reference sort" `Quick
       test_psa_selection_matches_reference;
+    QCheck_alcotest.to_alcotest prop_psa_matches_reference;
     Alcotest.test_case "psa: FIFO ablation sanity" `Quick
       test_psa_fifo_ablation_no_better;
     QCheck_alcotest.to_alcotest prop_theorem1;

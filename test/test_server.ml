@@ -40,6 +40,13 @@ let get = function
   | Ok v -> v
   | Error msg -> Alcotest.failf "unexpected error: %s" msg
 
+let contains s sub =
+  let n = String.length sub in
+  let rec at i =
+    i + n <= String.length s && (String.sub s i n = sub || at (i + 1))
+  in
+  at 0
+
 (* ------------------------------------------------------------------ *)
 (* JSON codec                                                          *)
 (* ------------------------------------------------------------------ *)
@@ -77,7 +84,103 @@ let test_json_roundtrip () =
     (get
        (Result.bind
           (Json.of_string "{\"n\":12345678901}")
-          (Json.int_field "n")))
+          (Json.int_field "n")));
+  (* The deepest nest the parser accepts. *)
+  let rec nest d = if d = 0 then Json.Null else Json.List [ nest (d - 1) ] in
+  let deep = Json.to_string (nest Json.max_depth) in
+  Alcotest.(check (result string string))
+    "depth-64 nest round-trips" (Ok deep)
+    (Result.map Json.to_string (Json.of_string deep));
+  (* Number text, pinned at the edges of the two formats: integers
+     within 2^53 print as "%.0f", everything else as "%.17g". *)
+  List.iter
+    (fun (x, text) ->
+      Alcotest.(check string) (Printf.sprintf "number %h" x) text
+        (Json.to_string (Json.Num x));
+      match Json.of_string text with
+      | Ok (Json.Num y) ->
+          Alcotest.(check int64) (Printf.sprintf "number %h parses back" x)
+            (Int64.bits_of_float x) (Int64.bits_of_float y)
+      | _ -> Alcotest.failf "number text %S does not parse" text)
+    [
+      (0.0, "0");
+      (-0.0, "-0");
+      (Int64.float_of_bits 1L, "4.9406564584124654e-324");
+      (-.Int64.float_of_bits 1L, "-4.9406564584124654e-324");
+      (Int64.float_of_bits 0x000FFFFFFFFFFFFFL, "2.2250738585072009e-308");
+      (Float.min_float, "2.2250738585072014e-308");
+      (9007199254740991.0, "9007199254740991");
+      (9007199254740992.0, "9007199254740992");
+      (Float.succ 9007199254740992.0, "9007199254740994");
+      (-9007199254740992.0, "-9007199254740992");
+      (Float.pred (-9007199254740992.0), "-9007199254740994");
+      (1e300, "1.0000000000000001e+300");
+      (-1e300, "-1.0000000000000001e+300");
+      (0.1, "0.10000000000000001");
+      (123456789.5, "123456789.5");
+      (Float.max_float, "1.7976931348623157e+308");
+    ];
+  (* Strings: escapes at the first and last byte, adjacent escapes,
+     \u escapes, and malformed strings with their byte offsets. *)
+  List.iter
+    (fun (input, expected) ->
+      Alcotest.(check (result string string))
+        (Printf.sprintf "decode %S" input) expected
+        (Result.map
+           (function Json.Str s -> s | v -> Json.to_string v)
+           (Json.of_string input)))
+    [
+      ({|"\nabc\t"|}, Ok "\nabc\t");
+      ({|"\"\\\/\b\f\n\r\t"|}, Ok "\"\\/\b\012\n\r\t");
+      ("\"A\xc3\xa9\xe2\x82\xac\\u0000\"", Ok "A\195\169\226\130\172\000");
+      ({|"\u0041\u00e9\u20AC"|}, Ok "A\195\169\226\130\172");
+      ({|"a\u000Ab"|}, Ok "a\nb");
+      ({|{"k\"ey": "v\\"}|}, Ok {|{"k\"ey":"v\\"}|});
+      ({|"abc|}, Error "JSON parse error at byte 4: unterminated string");
+      ({|"ab\|}, Error "JSON parse error at byte 4: dangling escape");
+      ({|"ab\"|}, Error "JSON parse error at byte 5: unterminated string");
+      ({|"\u12"|}, Error "JSON parse error at byte 3: bad \\u escape");
+      ({|"\uZZZZ"|}, Error "JSON parse error at byte 3: bad \\u escape");
+      ({|"x\u00"|}, Error "JSON parse error at byte 4: bad \\u escape");
+      ({|"\q"|}, Error "JSON parse error at byte 2: bad escape \\q");
+      ({|["ok", "bad\x"]|}, Error "JSON parse error at byte 12: bad escape \\x");
+      ("\"a\nb\"",
+       Error "JSON parse error at byte 2: raw control character in string");
+      ("\"\001\"",
+       Error "JSON parse error at byte 1: raw control character in string");
+    ];
+  (* A whole MDG text, as a plan request carries it. *)
+  let mdg =
+    Mdg.Serialize.to_string
+      (fst (Kernels.Strassen_mdg.graph ~n:128 ()))
+  in
+  Alcotest.(check (result string string))
+    "MDG text round-trips" (Ok mdg)
+    (Result.bind
+       (Json.of_string (Json.to_string (Json.Str mdg)))
+       Json.to_str)
+
+(* Number text is exactly Printf's, for any finite double. *)
+let prop_json_number_text =
+  let finite =
+    QCheck.Gen.(
+      oneof
+        [
+          map Int64.float_of_bits ui64;
+          map float_of_int (int_range (-(1 lsl 53)) (1 lsl 53));
+        ])
+  in
+  QCheck.Test.make ~name:"json: number text == Printf %.17g / %.0f"
+    ~count:(Generators.count 2000)
+    (QCheck.make ~print:(Printf.sprintf "%h") finite)
+    (fun x ->
+      QCheck.assume (Float.is_finite x);
+      let expected =
+        if Float.is_integer x && Float.abs x <= 9.007199254740992e15 then
+          Printf.sprintf "%.0f" x
+        else Printf.sprintf "%.17g" x
+      in
+      Json.to_string (Json.Num x) = expected)
 
 let test_json_malformed () =
   List.iter
@@ -96,6 +199,9 @@ let test_json_malformed () =
       "1 2";
       "{\"a\":1}garbage";
       "'single'";
+      (* Past the nesting cap: balanced, and a runaway open. *)
+      String.make (Json.max_depth + 1) '[' ^ String.make (Json.max_depth + 1) ']';
+      String.make 1_000_000 '[';
     ]
 
 (* ------------------------------------------------------------------ *)
@@ -126,6 +232,14 @@ let test_protocol_roundtrip () =
         (Costmodel.Params.fingerprint sent)
   | Ok _ -> Alcotest.fail "decoded wrong request kind"
 
+(* A plan request whose [t_ss] transfer constant is the JSON text
+   [t_ss]. *)
+let bad_params_line t_ss =
+  Printf.sprintf
+    {|{"op":"plan","mdg":%s,"procs":4,"params":{"transfer":{"t_ss":%s,"t_ps":0,"t_sr":0,"t_pr":0,"t_n":0}}}|}
+    (Json.to_string (Json.Str (Mdg.Serialize.to_string (diamond ()))))
+    t_ss
+
 let test_protocol_bad_requests () =
   let expect_error line =
     match Protocol.decode_request line with
@@ -137,7 +251,11 @@ let test_protocol_bad_requests () =
   (* missing mdg/procs *)
   expect_error "{\"op\":\"plan\",\"mdg\":\"bogus\",\"procs\":4}";
   expect_error "{\"op\":\"explode\"}";
-  expect_error "{\"op\":\"plan\",\"mdg\":\"mdg\\nnode 0 mul:64 \\\"m\\\"\",\"procs\":\"four\"}"
+  expect_error "{\"op\":\"plan\",\"mdg\":\"mdg\\nnode 0 mul:64 \\\"m\\\"\",\"procs\":\"four\"}";
+  (* Transfer constants the cost model rejects. *)
+  List.iter
+    (fun t_ss -> expect_error (bad_params_line t_ss))
+    [ "-1"; "1e999" ]
 
 (* ------------------------------------------------------------------ *)
 (* End-to-end serving                                                  *)
@@ -177,7 +295,27 @@ let test_server_malformed_line () =
       Alcotest.(check string) "kind" "protocol_error" kind
   | Ok _ -> Alcotest.fail "expected an error reply"
   | Error msg -> Alcotest.failf "unparseable reply: %s" msg);
-  get (Client.ping c)
+  get (Client.ping c);
+  (* Hostile lines: transfer constants the cost model rejects, and a
+     nest far past the depth cap.  Each gets a typed reply whose
+     message names the problem, and the next request on the
+     connection is answered. *)
+  List.iter
+    (fun (line, names) ->
+      Client.send_line c line;
+      (match Protocol.decode_reply (get (Client.recv_line c)) with
+      | Ok (_, Protocol.Error_reply { kind; message; _ }) ->
+          Alcotest.(check string) "kind" "protocol_error" kind;
+          if not (contains message names) then
+            Alcotest.failf "message %S does not name %S" message names
+      | Ok _ -> Alcotest.fail "expected an error reply"
+      | Error msg -> Alcotest.failf "unparseable reply: %s" msg);
+      get (Client.ping c))
+    [
+      (bad_params_line "-1", "t_ss");
+      (bad_params_line "1e999", "t_ss");
+      (String.make 1_000_000 '[', string_of_int Json.max_depth);
+    ]
 
 (* Pipelined requests: one write carrying 4,000 ping lines lands in the
    server's 64 KiB reads several thousand lines at a time, and every
@@ -465,6 +603,7 @@ let test_server_graceful_shutdown () =
 let suite =
   [
     Alcotest.test_case "json: round-trip" `Quick test_json_roundtrip;
+    QCheck_alcotest.to_alcotest prop_json_number_text;
     Alcotest.test_case "json: malformed inputs rejected" `Quick
       test_json_malformed;
     Alcotest.test_case "protocol: plan request round-trip" `Quick
