@@ -6,7 +6,9 @@
 
    - [near-dup]   the original steady state: one shape, a few
                   parameter variants, warmed — every request a cache
-                  hit (throughput ceiling).
+                  hit (throughput ceiling).  Each variant's request
+                  line is encoded once before the timed window, so
+                  the clients spend no time re-serialising the MDG.
    - [cold-heavy] every request a fresh workgen shape — the all-miss
                   floor: each request pays compile + cold solve.
    - [hot-key]    K clients hammer the same *uncached* key in lockstep
@@ -33,7 +35,7 @@ module Client = Server.Client
 
 type sample = {
   latency : float;  (* seconds *)
-  warm_hit : bool;  (* exact or shape *)
+  warm_hit : bool;  (* exact, or served by a coalesced solve *)
   skipped : bool;
   coalesced : bool;
 }
@@ -52,7 +54,7 @@ let percentile sorted p =
 let sample_of_summary ~latency (s : Server.Protocol.plan_summary) =
   {
     latency;
-    warm_hit = s.warm_cache = "hit" || s.warm_cache = "shape_hit";
+    warm_hit = s.warm_cache = "hit";
     skipped = s.solve_skipped;
     coalesced = s.coalesced;
   }
@@ -98,13 +100,15 @@ end
 (* ------------------------------------------------------------------ *)
 
 (* The request mix: one graph shape, [variants] parameter sets that
-   differ in the network constant (as successive re-calibrations
+   differ in the send start-up constant (as successive re-calibrations
    would), hence [variants] distinct cache fingerprints. *)
 let make_variants ~variants params =
   let tf = Costmodel.Params.transfer params in
   List.init variants (fun i ->
       let scale = 1.0 +. (0.02 *. float_of_int i) in
-      let p = Costmodel.Params.make ~transfer:{ tf with t_n = tf.t_n *. scale } in
+      let p =
+        Costmodel.Params.make ~transfer:{ tf with t_ss = tf.t_ss *. scale }
+      in
       List.iter
         (fun kernel ->
           Costmodel.Params.set_processing p kernel
@@ -196,15 +200,15 @@ let print_row r =
     "[%s] %d clients, %.1f s: %d requests (%d failed, %d shed), %.1f req/s\n\
     \  latency p50 %.2f ms, p99 %.2f ms\n\
     \  cache: warm hits %.1f%%, solve skipped %.1f%%, coalesced %.1f%%\n\
-    \  server: warm %d exact + %d shape / %d misses, coalesce %d hits on %d \
-     leaders, shed %d, max queue depth %d\n\
+    \  server: warm %d hits / %d misses, coalesce %d hits on %d leaders, \
+     shed %d, max queue depth %d\n\
      %!"
     r.mix r.clients r.duration r.requests r.failed r.shed r.req_per_s r.p50_ms
     r.p99_ms (100.0 *. r.warm_hit_rate)
     (100.0 *. r.solve_skipped_rate)
     (100.0 *. r.coalesced_rate)
-    r.stats.warm_hits r.stats.warm_shape_hits r.stats.warm_misses
-    r.stats.coalesce_hits r.stats.coalesce_leaders r.srv_shed r.queue_depth_max
+    r.stats.warm_hits r.stats.warm_misses r.stats.coalesce_hits
+    r.stats.coalesce_leaders r.srv_shed r.queue_depth_max
 
 (* ------------------------------------------------------------------ *)
 (* Mix harness                                                         *)
@@ -253,22 +257,26 @@ let with_daemon ?(options = Daemon.default_options) ~mix ~workload ~clients
 (* Mix 1: near-duplicate steady state (the PR-6 bench)                 *)
 (* ------------------------------------------------------------------ *)
 
-let near_dup_loop ~port ~graph ~procs ~deadline ~param_cycle k =
+(* One request line per parameter variant, sent as is: the timed loop
+   reads and decodes only the reply. *)
+let near_dup_loop ~port ~deadline ~lines k =
   let c = Client.connect ~port () in
   Fun.protect ~finally:(fun () -> Client.close c) @@ fun () ->
-  let n_variants = Array.length param_cycle in
+  let n_variants = Array.length lines in
   let samples = ref [] in
   let failed = ref 0 in
   let i = ref k in
   while Unix.gettimeofday () < deadline do
-    let params = param_cycle.(!i mod n_variants) in
+    let line = lines.(!i mod n_variants) in
     incr i;
     let t0 = Unix.gettimeofday () in
-    (match Client.plan ~params c graph ~procs with
-    | Ok s ->
-        samples :=
-          sample_of_summary ~latency:(Unix.gettimeofday () -. t0) s :: !samples
-    | Error _ -> incr failed)
+    Client.send_line c line;
+    let reply = Client.recv_line c in
+    let latency = Unix.gettimeofday () -. t0 in
+    match Result.bind reply Server.Protocol.decode_reply with
+    | Ok (_, Server.Protocol.Plan_reply s) ->
+        samples := sample_of_summary ~latency s :: !samples
+    | Ok _ | Error _ -> incr failed
   done;
   { samples = !samples; failed = !failed; shed = 0 }
 
@@ -281,7 +289,14 @@ let run_near_dup ~duration ~clients ~variants () =
       ~procs:[ 1; 2; 4; 8; 16; 32; 64 ]
       (Kernels.Strassen_mdg.kernels_recursive ~levels ~n)
   in
-  let param_cycle = Array.of_list (make_variants ~variants params) in
+  let lines =
+    Array.of_list
+      (List.map
+         (fun params ->
+           Server.Json.to_string
+             (Server.Protocol.encode_plan_request ~params graph ~procs:64))
+         (make_variants ~variants params))
+  in
   let srv = Daemon.start () in
   Fun.protect ~finally:(fun () -> Daemon.stop srv) @@ fun () ->
   let port = Daemon.port srv in
@@ -289,18 +304,19 @@ let run_near_dup ~duration ~clients ~variants () =
      serving steady state, not first-compile cost. *)
   let w = Client.connect ~port () in
   Array.iter
-    (fun params ->
-      match Client.plan ~params w graph ~procs:64 with
-      | Ok _ -> ()
+    (fun line ->
+      Client.send_line w line;
+      match Result.bind (Client.recv_line w) Server.Protocol.decode_reply with
+      | Ok (_, Server.Protocol.Plan_reply _) -> ()
+      | Ok _ -> failwith "serve bench warm-up: not a plan reply"
       | Error msg -> failwith ("serve bench warm-up failed: " ^ msg))
-    param_cycle;
+    lines;
   Client.close w;
   let t0 = Unix.gettimeofday () in
   let deadline = t0 +. duration in
   let outcomes =
     List.init clients (fun k ->
-        Domain.spawn (fun () ->
-            near_dup_loop ~port ~graph ~procs:64 ~deadline ~param_cycle k))
+        Domain.spawn (fun () -> near_dup_loop ~port ~deadline ~lines k))
     |> List.map Domain.join
   in
   let elapsed = Unix.gettimeofday () -. t0 in

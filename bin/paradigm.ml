@@ -435,13 +435,12 @@ let serve_cmd =
     let s = Server.Daemon.stats srv in
     let srv_stats = Server.Daemon.server_stats srv in
     Printf.printf
-      "served %d requests on %d connections (%d shed); warm cache %d exact \
-       + %d shape hits / %d misses; coalesced %d requests onto %d solves\n"
+      "served %d requests on %d connections (%d shed); warm cache %d hits \
+       / %d misses; coalesced %d requests onto %d solves\n"
       (Server.Daemon.requests_served srv)
       (Server.Daemon.connections_accepted srv)
       (Server.Daemon.connections_shed srv)
-      s.warm_hits s.warm_shape_hits s.warm_misses s.coalesce_hits
-      s.coalesce_leaders;
+      s.warm_hits s.warm_misses s.coalesce_hits s.coalesce_leaders;
     if metrics then begin
       (* Per-op latency histogram — the serving-side counters the
          telemetry summary cannot see. *)

@@ -304,28 +304,23 @@ let solve ?options ?(engine = `Tape) ?obs ?x0 params g ~procs =
   let n = G.num_nodes g in
   let lo = Numeric.Vec.create n 0.0 in
   let hi = Numeric.Vec.create n (log (float_of_int procs)) in
-  let solve_tape c =
-    let solver = Convex.Solver.solve_compiled ?options ?obs ?x0 c ~lo ~hi in
-    (* A_p and C_p come off the tape: the exact (mu = 0) Φ sweep
-       computes them on its way to the root max, whose branches are
-       [A_p; C_p] in that order. *)
-    let phi = Convex.Solver.eval_compiled c solver.x in
-    let average, critical_path =
-      match Convex.Solver.compiled_branches c with
-      | [| a; cp |] -> (a, cp)
-      | _ -> invalid_arg "Allocation.solve: tape root is not max(A_p, C_p)"
-    in
-    { alloc = Array.map exp solver.x; phi; average; critical_path; solver }
-  in
   match engine with
   | `Tape ->
-      solve_tape
-        (Convex.Solver.compile_tape ?obs (fun () ->
-             objective_tape_unchecked params g ~procs))
-  | `Precompiled c ->
-      (* The caller emitted the tape for exactly this (params, graph,
-         procs) problem and shares it across several solves. *)
-      solve_tape c
+      let c =
+        Convex.Solver.compile_tape ?obs (fun () ->
+            objective_tape_unchecked params g ~procs)
+      in
+      let solver = Convex.Solver.solve_compiled ?options ?obs ?x0 c ~lo ~hi in
+      (* A_p and C_p come off the tape: the exact (mu = 0) Φ sweep
+         computes them on its way to the root max, whose branches are
+         [A_p; C_p] in that order. *)
+      let phi = Convex.Solver.eval_compiled c solver.x in
+      let average, critical_path =
+        match Convex.Solver.compiled_branches c with
+        | [| a; cp |] -> (a, cp)
+        | _ -> invalid_arg "Allocation.solve: tape root is not max(A_p, C_p)"
+      in
+      { alloc = Array.map exp solver.x; phi; average; critical_path; solver }
   | `Reference ->
       let avg = average_expr params g ~procs in
       let cp = critical_path_expr params g ~procs in

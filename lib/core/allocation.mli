@@ -56,8 +56,7 @@ val critical_path_expr :
 
 val solve :
   ?options:Convex.Solver.options ->
-  ?engine:
-    [ `Tape | `Reference | `Precompiled of Convex.Solver.compiled ] ->
+  ?engine:[ `Tape | `Reference ] ->
   ?obs:Obs.t ->
   ?x0:Numeric.Vec.t ->
   Costmodel.Params.t ->
@@ -81,11 +80,6 @@ val solve :
     it with {!Convex.Solver.solve_compiled}, which drives every solver
     iteration and the exact Φ evaluation, and reads A_p and C_p off
     the root max's branches — no {!Convex.Expr} node is built;
-    [`Precompiled c] reuses an existing compilation of {e this exact
-    problem's} objective, which the caller must guarantee: the cached
-    plan path ({!Pipeline.plan}) emits one tape per solved key and
-    shares it across the cold solve, the shape seed's Φ check and the
-    seeded re-solve;
     [`Reference] builds the expression DAG and runs the original
     DAG-walking {!Convex.Expr.eval_grad} path (orders of magnitude
     slower on large MDGs; kept for cross-checking). *)

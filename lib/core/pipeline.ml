@@ -97,8 +97,7 @@ let emit_cache_counter obs outcome =
   if Obs.enabled obs then
     Obs.counter obs "pipeline.cache"
       [
-        ( "warm_hit",
-          match outcome.warm with Hit | Shape_hit -> 1.0 | _ -> 0.0 );
+        ("warm_hit", if outcome.warm = Hit then 1.0 else 0.0);
         ("solve_skipped", if outcome.solve_skipped then 1.0 else 0.0);
         ("coalesced", if outcome.coalesced then 1.0 else 0.0);
       ]
@@ -108,8 +107,8 @@ let emit_cache_counter obs outcome =
    result outright — the solver is deterministic, so re-solving the
    identical problem could only reproduce it.  Anything else goes
    through the in-flight table, so concurrent identical misses share
-   one solve; its leader emits the tape, solves and stores the
-   result. *)
+   one solve; its leader runs the cold solve an uncached plan runs and
+   stores the result. *)
 let solve_cached config cache (req : request) g =
   let key =
     {
@@ -121,48 +120,21 @@ let solve_cached config cache (req : request) g =
   let obs = config.obs in
   let allocation, outcome =
     match Plan_cache.warm cache key with
-    | Some (Plan_cache.Exact allocation) ->
+    | Some allocation ->
         (allocation, { warm = Hit; solve_skipped = true; coalesced = false })
-    | (None | Some (Plan_cache.Seed _)) as hit -> (
+    | None -> (
         let leader () =
-          (* One emission serves the cold solve, the seed's Φ check and
-             the seeded re-solve. *)
-          let compiled =
-            Convex.Solver.compile_tape ~obs (fun () ->
-                Allocation.objective_tape req.params g ~procs:req.procs)
-          in
-          let solve ?x0 () =
-            Allocation.solve ~options:config.solver_options
-              ~engine:(`Precompiled compiled) ~obs ?x0 req.params g
-              ~procs:req.procs
-          in
           let allocation =
-            match hit with
-            | Some (Plan_cache.Seed seed) ->
-                (* Warm-serving guarantee: a seeded solve's smoothing
-                   ladder is scaled by its start point, so from a
-                   sibling optimum it can stall measurably above what
-                   the cold solve finds.  Solve cold-deterministically
-                   (bit-identical to the uncached path) and use the
-                   sibling optimum only as a candidate: when the current
-                   objective values it below the cold answer, a seeded
-                   re-solve polishes it further, and the better of the
-                   two is kept — the seed can improve the plan, never
-                   degrade it (test_cache_prop exercises this). *)
-                let cold = solve () in
-                if Convex.Solver.eval_compiled compiled seed < cold.phi then
-                  let seeded = solve ~x0:seed () in
-                  if seeded.phi < cold.phi then seeded else cold
-                else cold
-            | _ -> solve ()
+            Allocation.solve ~options:config.solver_options ~obs req.params g
+              ~procs:req.procs
           in
           Plan_cache.store_warm cache key allocation;
           allocation
         in
         match Plan_cache.coalesce cache key ~solve:leader with
         | allocation, `Leader ->
-            let warm = match hit with Some _ -> Shape_hit | None -> Miss in
-            (allocation, { warm; solve_skipped = false; coalesced = false })
+            ( allocation,
+              { warm = Miss; solve_skipped = false; coalesced = false } )
         | allocation, `Follower ->
             ( allocation,
               { warm = Hit; solve_skipped = true; coalesced = true } ))

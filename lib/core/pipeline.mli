@@ -34,19 +34,13 @@
 
     With a cache configured, {!plan} keys the last result by
     [(Mdg.Graph.structural_hash, Costmodel.Params.fingerprint, procs)].
-    A request takes one of two paths:
-
-    - an exact duplicate is answered with the cached allocation
-      outright (the solver is deterministic, so re-solving could only
-      reproduce it) and emits no tape;
-    - anything else goes through {!Plan_cache.coalesce}, whose leader
-      emits the objective tape once, solves, and stores the result;
-      concurrent identical requests wait for it instead of solving.
-      When the leader's key is a near-duplicate (same MDG shape,
-      perturbed constants or machine size) the shape's latest optimum
-      is offered as a candidate seed: a seeded re-solve runs only when
-      the seed scores below the cold answer, and the better of the two
-      is kept.
+    An exact duplicate is answered with the cached allocation outright
+    (the solver is deterministic, so re-solving could only reproduce
+    it) and emits no tape.  Anything else goes through
+    {!Plan_cache.coalesce}, whose leader runs the same cold solve as an
+    uncached plan and stores the result; concurrent identical requests
+    wait for it instead of solving.  So a plan is the same with or
+    without a cache, whatever the cache held before.
 
     The per-request outcome is reported in {!plan.cache}.
 
@@ -112,15 +106,20 @@ exception Error of error
 
 (** {2 Planning} *)
 
-type cache_use = Hit | Shape_hit | Miss | Off
+type cache_use =
+  | Hit
+  | Shape_hit
+      (** never produced: the cache keeps no per-shape seeds.  Kept
+          for the benchmark, which compiles against it *)
+  | Miss
+  | Off
 
 type cache_outcome = {
   warm : cache_use;
   solve_skipped : bool;
       (** the allocation was served without entering the solver: an
           exact warm-cache hit, or a coalesced follower.  Every other
-          request runs a full solve (a seeded one still runs the
-          tightest smoothed stage and the exact polish) *)
+          request runs one cold solve *)
   coalesced : bool;
       (** this request was a cache miss served by a {e concurrent}
           identical request's solve ({!Plan_cache.coalesce}): it

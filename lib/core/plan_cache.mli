@@ -1,25 +1,17 @@
-(** Shared plan cache: solved allocations and warm-start seeds.
+(** Shared plan cache: solved allocations.
 
     The planner answers heavy, highly repetitive traffic: many clients
-    submit the same MDG shapes under the same (or nearby) cost
-    constants and machine sizes.  Under the paper's formulation the
-    optimum is a pure function of the MDG, the cost constants and the
-    machine size, so one result cache amortises that repetition.  It
-    maps [(structural hash, cost fingerprint, procs)] exactly, and its
-    shape projection [(structural hash, procs)] approximately, to the
-    last optimum found:
-
-    - an exact duplicate is answered with the cached
-      {!Allocation.result} outright — the solver is not re-entered and
-      no objective tape is emitted;
-    - a near-duplicate (same shape, perturbed constants) is solved
-      cold and offered the shape's latest optimum as a candidate seed
-      (see {!Pipeline.plan});
-    - a known shape requested at a {e new} machine size seeds from the
-      stored optimum with the nearest procs ratio, rescaled by
-      [log(p'/p)] in the log-space allocation and clamped into the new
-      box — a directional guess that turns per-[procs] sweeps over one
-      program into shape hits instead of cold misses.
+    submit the same MDG shapes under the same cost constants and
+    machine sizes.  Under the paper's formulation the optimum is a pure
+    function of the MDG, the cost constants and the machine size, so
+    one result cache amortises that repetition.  It maps
+    [(structural hash, cost fingerprint, procs)] to the result of the
+    one cold solve of that key: an exact duplicate is answered with the
+    cached {!Allocation.result} outright — the solver is not re-entered
+    and no objective tape is emitted.  Every other request is solved
+    cold, so a plan served through the cache is the plan
+    {!Pipeline.plan} computes without one, whatever the cache held
+    before.
 
     Keys use {!Mdg.Graph.structural_hash} and
     {!Costmodel.Params.fingerprint}; because the structural hash
@@ -31,14 +23,14 @@
     request for the same key blocks on the flight and shares the one
     result instead of solving again (see {!coalesce}).
 
-    The cache holds those tables and nothing else: no compiled tape
+    The cache holds those two tables and nothing else: no compiled tape
     outlives the solve that emitted it.  All operations are
     thread-safe (one internal mutex; solves happen outside the lock).
-    Entry counts are bounded; insertion beyond the bound evicts the
-    {e least recently used} entry ({!Lru}), so a hot working set
-    survives a burst of one-off requests that a FIFO would have let
-    push it out.  Typically one cache is created per server (or per
-    benchmark sweep) and passed to {!Pipeline.plan} via
+    The result table holds at most {!capacity} entries; insertion
+    beyond that evicts the {e least recently used} entry ({!Lru}), so
+    a hot working set survives a burst of one-off requests that a FIFO
+    would have let push it out.  Typically one cache is created per
+    server (or per benchmark sweep) and passed to {!Pipeline.plan} via
     {!Pipeline.config.cache}. *)
 
 type t
@@ -54,38 +46,30 @@ type stats = {
       (** equal to [coalesce_leaders]: every tape is emitted inside a
           coalesce leader's solve *)
   warm_hits : int;       (** exact-key warm hits *)
-  warm_shape_hits : int; (** same-shape, same-procs, different-fingerprint hits *)
-  warm_procs_hits : int; (** same-shape, different-procs rescaled hits *)
+  warm_shape_hits : int;
+      (** always 0: the cache keeps no per-shape seeds.  Kept, with
+          [warm_procs_hits], for the benchmark that reads both *)
+  warm_procs_hits : int;  (** always 0, as [warm_shape_hits] *)
   warm_misses : int;
   coalesce_leaders : int; (** in-flight solves led (one per coalesced group) *)
   coalesce_hits : int;    (** requests served by another request's solve *)
   warm_entries : int;
 }
 
-val create : ?max_warm:int -> ?max_shapes:int -> unit -> t
-(** [max_warm] (default 512) bounds exact warm-start entries;
-    [max_shapes] (default 256) bounds the graph shapes carrying
-    per-[procs] seed vectors (each shape holds at most a handful of
-    machine sizes). *)
+val capacity : int
+(** The most entries the result table holds: 512.  Storing one more
+    evicts the least recently used entry. *)
 
-type warm_hit =
-  | Exact of Allocation.result
-      (** The exact [(hash, fingerprint, procs)] entry: the previous
-          solve's full result, reusable verbatim (the solver is
-          deterministic, so re-solving the identical problem could only
-          reproduce it).  Arrays are private copies. *)
-  | Seed of Numeric.Vec.t
-      (** The most recent log-space optimum of the same [(hash, procs)]
-          shape under any fingerprint — or, when the shape has only
-          been solved at other machine sizes, the nearest-procs
-          optimum rescaled by [log(p'/p)] and clamped into the new
-          box.  A starting point only. *)
+val create : unit -> t
 
-val warm : t -> key -> warm_hit option
+val warm : t -> key -> Allocation.result option
+(** The result stored under exactly [key], if any: the previous solve's
+    full result, reusable verbatim (the solver is deterministic, so
+    re-solving the identical problem could only reproduce it).  Arrays
+    are private copies. *)
 
 val store_warm : t -> key -> Allocation.result -> unit
-(** Record a completed solve under the exact key, and its optimum as
-    the shape's most-recent seed. *)
+(** Record a completed solve under [key]. *)
 
 (** {2 Singleflight coalescing}
 

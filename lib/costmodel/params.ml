@@ -36,7 +36,7 @@ let check_processing { alpha; tau } =
   if alpha < 0.0 || alpha > 1.0 || not (Float.is_finite alpha) then
     invalid_arg "Params.set_processing: alpha outside [0,1]";
   if tau < 0.0 || not (Float.is_finite tau) then
-    invalid_arg "Params.set_processing: negative tau"
+    invalid_arg "Params.set_processing: tau negative or not finite"
 
 let set_processing t kernel proc =
   (match kernel with

@@ -33,9 +33,10 @@ let add_node b ~label ~kernel =
   | Matrix_init n | Matrix_add n | Matrix_multiply n ->
       if n < 1 then invalid_arg "Graph.add_node: matrix size < 1"
   | Synthetic { alpha; tau } ->
-      if alpha < 0.0 || alpha > 1.0 then
+      if alpha < 0.0 || alpha > 1.0 || not (Float.is_finite alpha) then
         invalid_arg "Graph.add_node: alpha outside [0,1]";
-      if tau < 0.0 then invalid_arg "Graph.add_node: negative tau"
+      if tau < 0.0 || not (Float.is_finite tau) then
+        invalid_arg "Graph.add_node: tau negative or not finite"
   | Dummy -> ());
   let id = b.b_count in
   b.b_nodes <- { id; label; kernel } :: b.b_nodes;
@@ -47,7 +48,7 @@ let add_edge b ~src ~dst ~bytes ~kind =
   if dst < 0 || dst >= b.b_count then invalid_arg "Graph.add_edge: bad dst";
   if src = dst then invalid_arg "Graph.add_edge: self loop";
   if bytes < 0.0 || not (Float.is_finite bytes) then
-    invalid_arg "Graph.add_edge: negative byte count";
+    invalid_arg "Graph.add_edge: byte count negative or not finite";
   if Hashtbl.mem b.pairs (src, dst) then
     invalid_arg "Graph.add_edge: duplicate edge";
   Hashtbl.add b.pairs (src, dst) ();

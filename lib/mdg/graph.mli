@@ -47,12 +47,16 @@ type builder
 val create_builder : unit -> builder
 
 val add_node : builder -> label:string -> kernel:kernel -> int
-(** Returns the new node's id. *)
+(** Returns the new node's id.  Raises [Invalid_argument] on a matrix
+    size below 1, or a synthetic kernel whose [alpha] is outside
+    [[0, 1]] or whose [tau] is negative; a NaN or infinite constant is
+    rejected too. *)
 
 val add_edge :
   builder -> src:int -> dst:int -> bytes:float -> kind:transfer_kind -> unit
-(** Raises [Invalid_argument] on unknown endpoints, self loops, negative
-    byte counts, or duplicate (src, dst) pairs. *)
+(** Raises [Invalid_argument] on unknown endpoints, self loops, byte
+    counts that are negative or not finite, or duplicate (src, dst)
+    pairs. *)
 
 val build : builder -> t
 (** Validates acyclicity and freezes the graph.  Raises

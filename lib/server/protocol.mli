@@ -48,7 +48,8 @@
     16 MiB cap).  A line nesting arrays and objects deeper than
     {!Json.max_depth} (64) levels is malformed, and so are cost
     constants that {!Costmodel.Params} rejects (a negative or
-    non-finite transfer constant, say); both answer
+    non-finite transfer constant, say) and an MDG that {!Mdg.Graph}
+    rejects (a non-finite kernel constant, say); all answer
     ["protocol_error"] with a message naming the limit or the
     constant.  A malformed line never terminates the connection.
     After an ["overloaded"] reply (which carries a ["retry_after_ms"]
@@ -108,7 +109,9 @@ type plan_summary = {
   iterations : int;
   stages : int;
   converged : bool;
-  warm_cache : string;  (** ["hit"] / ["shape_hit"] / ["miss"] / ["off"] *)
+  warm_cache : string;
+      (** ["hit"] / ["miss"] / ["off"].  ["shape_hit"] is decoded but
+          never sent: the cache keeps no per-shape seeds *)
   solve_skipped : bool;
   coalesced : bool;
       (** served by a concurrent identical request's solve
@@ -142,6 +145,10 @@ type reply =
 val plan_reply : id:Json.t -> Core.Pipeline.plan -> Json.t
 
 val stats_reply : id:Json.t -> ?server:server_stats -> Core.Plan_cache.stats -> Json.t
+(** Carries every {!Core.Plan_cache.stats} field.  [warm_shape_hits]
+    and [warm_procs_hits] are always 0; they stay on the wire because
+    {!decode_reply} requires them and the benchmark decodes stats
+    replies with it. *)
 
 val pong_reply : id:Json.t -> Json.t
 

@@ -21,7 +21,8 @@ let synth_params () =
 
 (* Same-machine re-calibration: scale the per-byte transfer costs,
    keep the processing table.  Distinct scale => distinct fingerprint,
-   same structural hash => the cached-plan path takes a shape hit. *)
+   so the cached-plan path misses on a shape it holds under other
+   constants. *)
 let perturbed ~scale params =
   let tf = Costmodel.Params.transfer params in
   let p =

@@ -1,15 +1,13 @@
-(* Properties of the plan caches (ISSUE 6 satellite):
+(* Properties of the plan cache:
 
-   - warm-serving soundness: planning a perturbed-constant variant of a
-     cached shape (a warm-start shape hit) never yields a Phi worse
-     than the cold solve of the same problem beyond a 1e-6 relative
-     guard band;
+   - history independence: a plan served through a cache is the
+     uncached plan of the same request, bit for bit, whatever the
+     cache solved before, and the cache answers exactly the repeats of
+     an earlier key;
    - key soundness: structurally distinct random MDGs never collide on
      [Mdg.Graph.structural_hash];
-   - procs-aware warm starts (ISSUE 7): a known shape at a new machine
-     size is seeded from the nearest-procs optimum, rescaled, and the
-     result stays within the warm-serving guard band;
-   - the [Core.Lru] recency/eviction contract behind both caches.
+   - the result table's bound, and the [Core.Lru] recency/eviction
+     contract behind it.
 
    Random graphs come from the shared Generators module and shrink
    toward fewer layers / smaller width / smaller seeds. *)
@@ -20,63 +18,103 @@ module P = Core.Pipeline
 let base_params = Generators.synth_params
 let perturbed = Generators.perturbed
 
-(* A layered case paired with a transfer-constant scale drawn from a
-   small menu; shrinking reduces the graph and leaves the scale
-   alone (the scale is not what makes a counterexample large). *)
-let scaled_case =
-  let gen =
-    QCheck.Gen.(
-      let* seed = int_bound 10_000 in
-      let* layers = int_range 1 3 in
-      let* width = int_range 1 3 in
-      let* scale = oneofl [ 0.9; 0.95; 1.05; 1.1 ] in
-      return ({ Generators.seed; layers; width }, scale))
-  in
-  let print (c, scale) =
-    Printf.sprintf "%s, scale=%g" (Generators.layered_print c) scale
-  in
-  let shrink (c, scale) yield =
-    Generators.layered_shrink c (fun c -> yield (c, scale))
-  in
-  QCheck.make ~print ~shrink gen
-
 let plan_phi ?config req =
   match P.plan ?config req with
   | Ok p -> p
   | Error e -> QCheck.Test.fail_reportf "plan failed: %s" (P.error_to_string e)
 
-(* Cold solve vs. the warm-start shape-hit path on the same perturbed
-   problem.  The warm path may legitimately find a *better* point (it
-   starts at a near-optimum); it must never be worse than the cold
-   solve beyond the guard band. *)
-let prop_warm_hit_phi_sound =
-  QCheck.Test.make ~name:"warm shape hit: Phi within 1e-6 of cold solve"
-    ~count:(Generators.count 15) scaled_case
-    (fun (case, scale) ->
-      let g = Generators.mdg_of_layered case in
-      let seed = case.Generators.seed in
-      let params = base_params () in
-      let params' = perturbed ~scale params in
-      let procs = 16 in
-      let cold = plan_phi (P.request params' g ~procs) in
+(* One request of a sequence: a shape from the case's pool, base or
+   perturbed constants, and a machine size. *)
+type step = { shape : int; scale : float option; procs : int }
+
+(* One or two layered shapes and 4-10 requests over them, so the same
+   shape recurs under other constants and machine sizes, and some keys
+   repeat.  Shrinking drops requests, then shrinks the shapes. *)
+let sequence_case =
+  let layered = Generators.layered ~max_layers:3 ~max_width:3 () in
+  let gen =
+    QCheck.Gen.(
+      let* shapes = array_size (int_range 1 2) (QCheck.get_gen layered) in
+      let step =
+        let* shape = int_bound (Array.length shapes - 1) in
+        let* scale = oneofl [ None; Some 0.9; Some 1.1 ] in
+        let* procs = oneofl [ 8; 16; 32 ] in
+        return { shape; scale; procs }
+      in
+      let* steps = list_size (int_range 4 10) step in
+      return (shapes, steps))
+  in
+  let print (shapes, steps) =
+    Printf.sprintf "shapes [%s], requests [%s]"
+      (String.concat "; "
+         (Array.to_list (Array.map Generators.layered_print shapes)))
+      (String.concat "; "
+         (List.map
+            (fun { shape; scale; procs } ->
+              Printf.sprintf "%d/%s/p=%d" shape
+                (match scale with
+                | None -> "base"
+                | Some s -> Printf.sprintf "x%g" s)
+                procs)
+            steps))
+  in
+  let shrink (shapes, steps) yield =
+    QCheck.Shrink.list steps (fun steps -> yield (shapes, steps));
+    Array.iteri
+      (fun i c ->
+        Generators.layered_shrink c (fun c ->
+            let shapes = Array.copy shapes in
+            shapes.(i) <- c;
+            yield (shapes, steps)))
+      shapes
+  in
+  QCheck.make ~print ~shrink gen
+
+let prop_cached_plan_is_cold_plan =
+  QCheck.Test.make ~name:"cached plan == uncached plan, bit for bit"
+    ~count:(Generators.count 25) sequence_case
+    (fun (shapes, steps) ->
+      let graphs = Array.map Generators.mdg_of_layered shapes in
+      let base = base_params () in
       let cache = Core.Plan_cache.create () in
       let config = P.(default_config |> with_cache cache) in
-      (* Seed the cache with the base-constant optimum... *)
-      ignore (plan_phi ~config (P.request params g ~procs));
-      (* ...then plan the perturbed variant through it. *)
-      let warm = plan_phi ~config (P.request params' g ~procs) in
-      if warm.cache.warm <> P.Shape_hit then
-        QCheck.Test.fail_reportf "expected a shape hit, got %s"
-          (match warm.cache.warm with
-          | P.Hit -> "exact hit"
-          | P.Miss -> "miss"
-          | P.Off -> "off"
-          | P.Shape_hit -> "shape hit");
-      let phi_cold = P.phi cold and phi_warm = P.phi warm in
-      if phi_warm > phi_cold +. (1e-6 *. (1.0 +. Float.abs phi_cold)) then
-        QCheck.Test.fail_reportf
-          "warm Phi %.12g worse than cold Phi %.12g (seed %d, scale %g)"
-          phi_warm phi_cold seed scale;
+      let seen = Hashtbl.create 16 in
+      let bits = Array.map Int64.bits_of_float in
+      List.iteri
+        (fun i { shape; scale; procs } ->
+          let g = graphs.(shape) in
+          let params =
+            match scale with None -> base | Some scale -> perturbed ~scale base
+          in
+          let req = P.request params g ~procs in
+          let served = plan_phi ~config req and cold = plan_phi req in
+          let key =
+            ( G.structural_hash (G.normalise g),
+              Costmodel.Params.fingerprint params,
+              procs )
+          in
+          let repeat = Hashtbl.mem seen key in
+          Hashtbl.replace seen key ();
+          if (served.cache.warm = P.Hit) <> repeat then
+            QCheck.Test.fail_reportf "request %d: %s, but the key %s" i
+              (if served.cache.warm = P.Hit then "a cache hit" else "no hit")
+              (if repeat then "repeats an earlier one" else "is new");
+          if
+            Int64.bits_of_float (P.phi served)
+            <> Int64.bits_of_float (P.phi cold)
+          then
+            QCheck.Test.fail_reportf
+              "request %d: served Phi %.17g <> uncached Phi %.17g" i
+              (P.phi served) (P.phi cold);
+          if bits served.allocation.alloc <> bits cold.allocation.alloc then
+            QCheck.Test.fail_reportf
+              "request %d: served allocation differs from the uncached one" i;
+          if served.psa.rounded_alloc <> cold.psa.rounded_alloc then
+            QCheck.Test.fail_reportf
+              "request %d: served rounded allocation differs from the \
+               uncached one"
+              i)
+        steps;
       true)
 
 (* An exact-key hit returns the stored result: Phi must be identical
@@ -96,38 +134,7 @@ let prop_exact_hit_phi_identical =
       && again.cache.solve_skipped
       && P.phi again = P.phi first)
 
-(* A known shape requested at a new machine size: the cache must
-   answer with a rescaled nearest-procs seed (a procs hit, surfaced as
-   a shape hit by the pipeline), and the planned Phi must stay within
-   the warm-serving guard band of the cold solve at that size. *)
-let prop_procs_hit_phi_sound =
-  QCheck.Test.make ~name:"warm procs hit: rescaled seed, Phi within 1e-6"
-    ~count:(Generators.count 10)
-    (Generators.layered ~max_layers:3 ~max_width:3 ())
-    (fun case ->
-      let g = Generators.mdg_of_layered case in
-      let seed = case.Generators.seed in
-      let params = base_params () in
-      let cold = plan_phi (P.request params g ~procs:32) in
-      let cache = Core.Plan_cache.create () in
-      let config = P.(default_config |> with_cache cache) in
-      ignore (plan_phi ~config (P.request params g ~procs:16));
-      let warm = plan_phi ~config (P.request params g ~procs:32) in
-      let stats = Core.Plan_cache.stats cache in
-      if stats.warm_procs_hits <> 1 then
-        QCheck.Test.fail_reportf "expected 1 procs hit, stats say %d"
-          stats.warm_procs_hits;
-      if warm.cache.warm <> P.Shape_hit then
-        QCheck.Test.fail_reportf "expected the procs seed to surface as a \
-                                  shape hit";
-      let phi_cold = P.phi cold and phi_warm = P.phi warm in
-      if phi_warm > phi_cold +. (1e-6 *. (1.0 +. Float.abs phi_cold)) then
-        QCheck.Test.fail_reportf
-          "procs-warm Phi %.12g worse than cold Phi %.12g (seed %d)" phi_warm
-          phi_cold seed;
-      true)
-
-(* The LRU under the caches: a touched entry survives an insertion
+(* The LRU under the result table: a touched entry survives an insertion
    past the capacity, the least recently used entry does not (a FIFO
    would evict the touched one). *)
 let test_lru_eviction_order () =
@@ -152,12 +159,8 @@ let test_lru_eviction_order () =
     (Some (1, 10)) evicted;
   Alcotest.(check int) "length stays at capacity" 3 (Core.Lru.length l)
 
-(* The shape-seed table is bounded like the other two caches (the .mli
-   promises every entry count is): shapes beyond [max_shapes] evict the
-   least recently stored one, and one shape holds at most a handful of
-   machine sizes — probing more [procs] values than that cap must
-   answer the overflow via nearest-procs rescaling, not by growing the
-   table. *)
+(* The result table is the cache's only memory bound: one store past
+   [capacity] evicts the least recently stored key. *)
 let fake_result n value =
   {
     Core.Allocation.alloc = Array.make n 1.0;
@@ -176,59 +179,22 @@ let fake_result n value =
       };
   }
 
-let shape_key ?(fingerprint = 0L) ~h ~procs () =
-  {
-    Core.Plan_cache.graph_hash = Int64.of_int h;
-    fingerprint;
-    procs;
-  }
-
-let test_warm_shape_bounded () =
-  let cache = Core.Plan_cache.create ~max_shapes:4 () in
-  let r = fake_result 3 0.5 in
-  for h = 1 to 8 do
-    Core.Plan_cache.store_warm cache (shape_key ~h ~procs:8 ()) r
-  done;
-  (* Distinct fingerprint: the exact cache cannot answer, only the
-     shape table can. *)
-  let probe h =
-    Core.Plan_cache.warm cache (shape_key ~fingerprint:1L ~h ~procs:8 ())
-  in
-  (match probe 1 with
-  | None -> ()
-  | Some _ -> Alcotest.fail "shape 1 should have been evicted (capacity 4)");
-  (match probe 8 with
-  | Some (Core.Plan_cache.Seed _) -> ()
-  | _ -> Alcotest.fail "shape 8 should still hold a seed");
-  let stats = Core.Plan_cache.stats cache in
-  Alcotest.(check int) "evicted shape is a warm miss" 1 stats.warm_misses;
-  Alcotest.(check int) "resident shape is a shape hit" 1 stats.warm_shape_hits
-
-let test_warm_shape_procs_capped () =
+let test_exact_table_bounded () =
   let cache = Core.Plan_cache.create () in
   let r = fake_result 3 0.5 in
-  (* 12 machine sizes for one shape: more than the per-shape cap (8),
-     so at least 4 of the probes below must be answered by rescaling
-     from a neighbouring size rather than exactly. *)
-  let sizes = List.init 12 (fun i -> 1 lsl i) in
-  List.iter
-    (fun procs -> Core.Plan_cache.store_warm cache (shape_key ~h:7 ~procs ()) r)
-    sizes;
-  List.iter
-    (fun procs ->
-      match
-        Core.Plan_cache.warm cache (shape_key ~fingerprint:1L ~h:7 ~procs ())
-      with
-      | Some (Core.Plan_cache.Seed _) -> ()
-      | _ ->
-          Alcotest.failf "procs %d should seed (exactly or rescaled)" procs)
-    sizes;
-  let stats = Core.Plan_cache.stats cache in
-  Alcotest.(check int) "every probe seeded" 12
-    (stats.warm_shape_hits + stats.warm_procs_hits);
-  Alcotest.(check bool) "per-shape procs entries capped at 8" true
-    (stats.warm_shape_hits <= 8);
-  Alcotest.(check int) "no warm misses" 0 stats.warm_misses
+  let capacity = Core.Plan_cache.capacity in
+  let key h =
+    { Core.Plan_cache.graph_hash = Int64.of_int h; fingerprint = 0L; procs = 8 }
+  in
+  for h = 0 to capacity do
+    Core.Plan_cache.store_warm cache (key h) r
+  done;
+  Alcotest.(check int) "entries held at capacity" capacity
+    (Core.Plan_cache.stats cache).warm_entries;
+  Alcotest.(check bool) "first-stored key evicted" true
+    (Option.is_none (Core.Plan_cache.warm cache (key 0)));
+  Alcotest.(check bool) "last-stored key hits" true
+    (Option.is_some (Core.Plan_cache.warm cache (key capacity)))
 
 let signature = Generators.signature
 
@@ -258,14 +224,11 @@ let test_no_hash_collisions () =
 
 let suite =
   [
-    QCheck_alcotest.to_alcotest prop_warm_hit_phi_sound;
+    QCheck_alcotest.to_alcotest prop_cached_plan_is_cold_plan;
     QCheck_alcotest.to_alcotest prop_exact_hit_phi_identical;
-    QCheck_alcotest.to_alcotest prop_procs_hit_phi_sound;
     Alcotest.test_case "LRU eviction order" `Quick test_lru_eviction_order;
-    Alcotest.test_case "warm shape table bounded" `Quick
-      test_warm_shape_bounded;
-    Alcotest.test_case "per-shape procs entries capped" `Quick
-      test_warm_shape_procs_capped;
+    Alcotest.test_case "exact table bounded at capacity" `Quick
+      test_exact_table_bounded;
     Alcotest.test_case "no structural_hash collisions (10k graphs)" `Slow
       test_no_hash_collisions;
   ]

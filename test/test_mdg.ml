@@ -53,6 +53,16 @@ let test_build_rejects_bad_edges () =
     (fun () -> G.add_edge b ~src:n0 ~dst:n0 ~bytes:0.0 ~kind:Oned);
   Alcotest.check_raises "bad dst" (Invalid_argument "Graph.add_edge: bad dst")
     (fun () -> G.add_edge b ~src:n0 ~dst:7 ~bytes:0.0 ~kind:Oned);
+  List.iter
+    (fun (name, bytes) ->
+      Alcotest.check_raises name
+        (Invalid_argument "Graph.add_edge: byte count negative or not finite")
+        (fun () -> G.add_edge b ~src:n0 ~dst:n1 ~bytes ~kind:Oned))
+    [
+      ("bytes negative", -1.0);
+      ("bytes nan", Float.nan);
+      ("bytes infinity", Float.infinity);
+    ];
   G.add_edge b ~src:n0 ~dst:n1 ~bytes:1.0 ~kind:Oned;
   Alcotest.check_raises "duplicate"
     (Invalid_argument "Graph.add_edge: duplicate edge") (fun () ->
@@ -63,6 +73,20 @@ let test_kernel_validation () =
   Alcotest.check_raises "alpha range"
     (Invalid_argument "Graph.add_node: alpha outside [0,1]") (fun () ->
       ignore (G.add_node b ~label:"x" ~kernel:(Synthetic { alpha = 1.5; tau = 1.0 })));
+  (* NaN passes a plain range test, and "1e999" reads as infinity. *)
+  Alcotest.check_raises "alpha nan"
+    (Invalid_argument "Graph.add_node: alpha outside [0,1]") (fun () ->
+      ignore (G.add_node b ~label:"x" ~kernel:(Synthetic { alpha = Float.nan; tau = 1.0 })));
+  List.iter
+    (fun (name, tau) ->
+      Alcotest.check_raises name
+        (Invalid_argument "Graph.add_node: tau negative or not finite") (fun () ->
+          ignore (G.add_node b ~label:"x" ~kernel:(Synthetic { alpha = 0.2; tau }))))
+    [
+      ("tau negative", -1.0);
+      ("tau nan", Float.nan);
+      ("tau infinity", Float.infinity);
+    ];
   Alcotest.check_raises "matrix size"
     (Invalid_argument "Graph.add_node: matrix size < 1") (fun () ->
       ignore (G.add_node b ~label:"x" ~kernel:(Matrix_add 0)))

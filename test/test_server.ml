@@ -240,6 +240,20 @@ let bad_params_line t_ss =
     (Json.to_string (Json.Str (Mdg.Serialize.to_string (diamond ()))))
     t_ss
 
+(* A two-node plan request whose first node has kernel [kernel]. *)
+let bad_mdg_line kernel =
+  Printf.sprintf {|{"op":"plan","mdg":%s,"procs":4}|}
+    (Json.to_string
+       (Json.Str
+          (Printf.sprintf
+             "mdg\nnode 0 %s \"a\"\nnode 1 synthetic:1.0:0.002 \"b\"\nedge 0 1 4096 1d"
+             kernel)))
+
+let bad_processing_line =
+  Printf.sprintf
+    {|{"op":"plan","mdg":%s,"procs":4,"params":{"transfer":{"t_ss":0,"t_ps":0,"t_sr":0,"t_pr":0,"t_n":0},"processing":[{"kernel":"mul:64","alpha":0.5,"tau":1e999}]}}|}
+    (Json.to_string (Json.Str (Mdg.Serialize.to_string (diamond ()))))
+
 let test_protocol_bad_requests () =
   let expect_error line =
     match Protocol.decode_request line with
@@ -255,7 +269,17 @@ let test_protocol_bad_requests () =
   (* Transfer constants the cost model rejects. *)
   List.iter
     (fun t_ss -> expect_error (bad_params_line t_ss))
-    [ "-1"; "1e999" ]
+    [ "-1"; "1e999" ];
+  (* Non-finite kernel constants in the MDG itself. *)
+  List.iter
+    (fun kernel -> expect_error (bad_mdg_line kernel))
+    [ "synthetic:0.2:1e999"; "synthetic:0.2:nan"; "synthetic:nan:0.5" ];
+  (* A processing entry the cost model rejects, named as such. *)
+  match Protocol.decode_request bad_processing_line with
+  | Error (_, msg) ->
+      Alcotest.(check string) "processing tau 1e999"
+        "Params.set_processing: tau negative or not finite" msg
+  | Ok _ -> Alcotest.fail "accepted a processing tau of 1e999"
 
 (* ------------------------------------------------------------------ *)
 (* End-to-end serving                                                  *)
@@ -429,18 +453,27 @@ let test_server_cache_over_wire () =
         (List.exists
            (fun (l : Protocol.op_latency) -> l.op = "plan" && total l.buckets >= 2)
            srv.latency));
-  (* Same shape, perturbed constants: a new fingerprint solves again,
-     but the warm cache serves the shape seed. *)
+  (* Same shape, perturbed constants: a new fingerprint misses and is
+     solved cold, exactly as the uncached pipeline plans it. *)
   let params = Costmodel.Params.cm5 () in
   let tf = Costmodel.Params.transfer params in
   let perturbed =
-    Costmodel.Params.make ~transfer:{ tf with t_n = tf.t_n *. 1.05 }
+    Costmodel.Params.make ~transfer:{ tf with t_ss = tf.t_ss *. 1.05 }
   in
   let third = get (Client.plan ~params:perturbed c g ~procs:16) in
   Alcotest.(check bool) "perturbed constants: solves" false
     third.solve_skipped;
-  Alcotest.(check string) "perturbed constants: shape warm hit" "shape_hit"
-    third.warm_cache
+  Alcotest.(check string) "perturbed constants: miss" "miss" third.warm_cache;
+  let cold = Core.Pipeline.plan_exn perturbed g ~procs:16 in
+  let bits = Array.map Int64.bits_of_float in
+  Alcotest.(check int64) "perturbed constants: Phi bits of the cold plan"
+    (Int64.bits_of_float (Core.Pipeline.phi cold))
+    (Int64.bits_of_float third.phi);
+  Alcotest.(check (array int64))
+    "perturbed constants: allocation bits of the cold plan"
+    (bits cold.allocation.alloc) (bits third.alloc);
+  Alcotest.(check (array int)) "perturbed constants: rounded allocation"
+    cold.psa.rounded_alloc third.rounded_alloc
 
 let test_server_concurrent_clients () =
   let domains = 4 and per_client = 6 in
