@@ -37,12 +37,12 @@ fmt-apply:
 verify: build test fmt
 
 # Quick performance sanity: micro-benchmarks (tape vs legacy
-# eval_grad among them) plus the scale experiment at smoke levels 1-2.
-# scale-quick exits non-zero when a non-timing column of its strassen:1
-# or strassen:2 row (nodes, edges, solver counts, Phi, T_psa,
-# simulated) differs from the committed BENCH_scale.json, so a change
-# that moves Phi or a solver count must regenerate that file
-# (`dune exec bench/main.exe -- scale`).
+# eval_grad among them) plus the scale experiment on strassen:1,
+# strassen:2 and the two pinned workgen rows.  scale-quick exits
+# non-zero when a non-timing column of any of those four rows (nodes,
+# edges, solver counts, Phi, T_psa, simulated) differs from the
+# committed BENCH_scale.json, so a change that moves Phi or a solver
+# count must regenerate that file (`dune exec bench/main.exe -- scale`).
 bench-quick: build
 	dune exec bench/main.exe -- micro
 	dune exec bench/main.exe -- scale-quick

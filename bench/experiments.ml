@@ -823,17 +823,13 @@ let scale () =
     (scale_workloads ~json:"BENCH_scale.json"
        (List.map (fun l -> Strassen l) [ 1; 2; 3; 4 ] @ scale_random_pins))
 
-(* Smoke-test variant for `make bench-quick`: small levels only,
-   finishes in seconds.  Its Strassen rows must reproduce the committed
-   BENCH_scale.json rows in every non-timing column. *)
+(* Smoke-test variant for `make bench-quick`: the small Strassen levels
+   and the two pinned workgen rows, which finish in seconds.  Every row
+   must reproduce its committed BENCH_scale.json row in every
+   non-timing column. *)
 let scale_quick () =
-  let strassen = [ Strassen 1; Strassen 2 ] in
-  let rows =
-    scale_workloads
-      (strassen @ [ Random (Workgen.spec_of_string_exn "depth=2,branch=2", 7) ])
-  in
   check_scale_json "BENCH_scale.json"
-    (List.filter (fun r -> List.mem r.sc_workload strassen) rows)
+    (scale_workloads ([ Strassen 1; Strassen 2 ] @ scale_random_pins))
 
 (* `bench scale <workload>...`: ad-hoc rows, no JSON artifact (the
    tracked BENCH_scale.json only ever holds the pinned row set). *)

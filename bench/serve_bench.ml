@@ -12,8 +12,10 @@
    - [cold-heavy] every request a fresh workgen shape — the all-miss
                   floor: each request pays compile + cold solve.
    - [hot-key]    K clients hammer the same *uncached* key in lockstep
-                  rounds — the singleflight showcase: coalescing turns
-                  N concurrent cold solves into 1 solve + N-1 waits.
+                  rounds, a fresh key each round, until the mix's
+                  deadline — the singleflight showcase: coalescing
+                  turns N concurrent cold solves into 1 solve + N-1
+                  waits.
    - [overload]   a shuffled heterogeneous mix (hot/dup/cold) against
                   a deliberately undersized server (2 workers, 1
                   pending slot) — exercises bounded queueing: excess
@@ -69,6 +71,7 @@ module Barrier = struct
     parties : int;
     mutable count : int;
     mutable phase : int;
+    mutable go : bool;
   }
 
   let create parties =
@@ -78,21 +81,28 @@ module Barrier = struct
       parties;
       count = 0;
       phase = 0;
+      go = true;
     }
 
-  let await b =
+  (* Block until every party has arrived, then tell all of them the
+     same thing: whether the last to arrive still found [deadline]
+     ahead.  So every client runs the same rounds, and none is left
+     waiting at a barrier the others have stopped visiting. *)
+  let await b ~deadline =
     Mutex.protect b.lock (fun () ->
         let phase = b.phase in
         b.count <- b.count + 1;
         if b.count = b.parties then begin
           b.count <- 0;
           b.phase <- phase + 1;
+          b.go <- Unix.gettimeofday () < deadline;
           Condition.broadcast b.cond
         end
         else
           while b.phase = phase do
             Condition.wait b.cond b.lock
-          done)
+          done;
+        b.go)
 end
 
 (* ------------------------------------------------------------------ *)
@@ -130,9 +140,11 @@ let workgen_spec =
 
 let workgen_graph seed = Workgen.generate workgen_spec ~seed
 
-(* The hot-key contended graph: a deeper recursion whose cold solve is
-   long enough (~100 ms) that concurrent requests reliably land while
-   the leader is still solving. *)
+(* The hot-key contended graph: a deeper recursion whose cold plan is
+   long enough that concurrent requests reliably land while the leader
+   is still solving.  A whole round, one cold plan plus the coalesced
+   replies, takes about 15 ms on a 2-vCPU Xeon VM, so the mix runs for
+   a fixed duration rather than a fixed number of rounds. *)
 let hot_spec = { workgen_spec with depth = 3 }
 
 (* ------------------------------------------------------------------ *)
@@ -360,26 +372,30 @@ let run_cold_heavy ~duration ~clients () =
 (* Mix 3: hot-key contention (the singleflight showcase)               *)
 (* ------------------------------------------------------------------ *)
 
-let run_hot_key ~rounds ~clients () =
+let run_hot_key ~duration ~clients () =
   let params = Costmodel.Params.cm5 () in
   let barrier = Barrier.create clients in
+  let deadline = Unix.gettimeofday () +. duration in
   let client srv _k =
     let c = Client.connect ~port:(Daemon.port srv) () in
     Fun.protect ~finally:(fun () -> Client.close c) @@ fun () ->
     let samples = ref [] and failed = ref 0 in
-    for r = 0 to rounds - 1 do
+    let rec round r =
       (* Every client requests the same *fresh* key: one leader
          solves, the rest should coalesce onto its flight. *)
       let graph = Workgen.generate hot_spec ~seed:(7_000_000 + r) in
-      Barrier.await barrier;
-      let t0 = Unix.gettimeofday () in
-      match Client.plan ~params c graph ~procs:16 with
-      | Ok s ->
-          samples :=
-            sample_of_summary ~latency:(Unix.gettimeofday () -. t0) s
-            :: !samples
-      | Error _ -> incr failed
-    done;
+      if Barrier.await barrier ~deadline then begin
+        let t0 = Unix.gettimeofday () in
+        (match Client.plan ~params c graph ~procs:16 with
+        | Ok s ->
+            samples :=
+              sample_of_summary ~latency:(Unix.gettimeofday () -. t0) s
+              :: !samples
+        | Error _ -> incr failed);
+        round (r + 1)
+      end
+    in
+    round 0;
     { samples = !samples; failed = !failed; shed = 0 }
   in
   with_daemon ~mix:"hot-key"
@@ -544,7 +560,7 @@ let serve () =
        repeats);
   let near = repeat (run_near_dup ~duration:10.0 ~clients:4 ~variants:3) in
   let cold = repeat (run_cold_heavy ~duration:10.0 ~clients:4) in
-  let hot = repeat (run_hot_key ~rounds:8 ~clients:4) in
+  let hot = repeat (run_hot_key ~duration:10.0 ~clients:4) in
   let overload =
     repeat (run_overload ~duration:8.0 ~clients:6 ~workers:2 ~max_pending:1)
   in
@@ -558,7 +574,7 @@ let serve_quick () =
   header "Plan server smoke: near-dup / cold-heavy / hot-key";
   let near = run_near_dup ~duration:2.0 ~clients:2 ~variants:2 () in
   let cold = run_cold_heavy ~duration:2.0 ~clients:2 () in
-  let hot = run_hot_key ~rounds:3 ~clients:4 () in
+  let hot = run_hot_key ~duration:2.0 ~clients:4 () in
   List.iter print_row [ near; cold; hot ];
   List.iter
     (fun r ->

@@ -7,15 +7,12 @@ type problem = {
 }
 
 type options = {
-  max_iters : int;
   tol : float;
   mu_init : float;
   mu_final : float;
   mu_decay : float;
-  step_init : float;
   armijo_c : float;
   armijo_shrink : float;
-  second_order : bool;
   newton_max_iters : int;
   cg_max_iters : int;
   precondition : bool;
@@ -23,15 +20,12 @@ type options = {
 
 let default_options =
   {
-    max_iters = 300;
     tol = 1e-6;
     mu_init = 1e-2;
     mu_final = 1e-6;
     mu_decay = 0.01;
-    step_init = 1.0;
     armijo_c = 1e-4;
     armijo_shrink = 0.5;
-    second_order = true;
     newton_max_iters = 20;
     cg_max_iters = 8;
     precondition = true;
@@ -70,8 +64,6 @@ let compile ?obs expr = compile_tape ?obs (fun () -> Tape.compile expr)
 let eval_compiled ?(mu = 0.0) c x = Tape.eval ~mu c.tape c.ws x
 
 let compiled_branches c = Tape.root_branches c.tape c.ws
-
-type engine = Tape | Reference
 
 let check_box name lo hi =
   let n = Vec.dim lo in
@@ -117,107 +109,6 @@ let grid_search ~start accept =
   if accept start then Some (up start)
   else match down (start + 1) with Some k -> Some k | None -> scan 0
 
-(* One stage of accelerated projected gradient descent (FISTA with
-   function-value restart) with Armijo backtracking, at a fixed
-   smoothing temperature.  [x] (the current iterate), [y] (the
-   momentum point), [g] (the gradient) and [cand] (the line-search
-   probe) are caller-owned buffers reused across stages; [x] is
-   updated in place.  [f]/[fg] evaluate the objective (and write its
-   gradient into [g]).  Returns (iterations, hit_tol, backtracks).
-
-   The momentum point [y] may leave the box; the objective is defined
-   on all of R^n (sums of exponentials), so evaluating there is fine —
-   the prox step projects back. *)
-let stage ~opts ~mu ~f ~fg ~lo ~hi ~x ~y ~g ~cand =
-  let n = Vec.dim x in
-  for i = 0 to n - 1 do
-    x.(i) <- clamp1 lo.(i) hi.(i) x.(i)
-  done;
-  Array.blit x 0 y 0 n;
-  let t = ref 1.0 in
-  let step = ref opts.step_init in
-  let fx = ref (f ~mu x) in
-  let iters = ref 0 in
-  let backtracks = ref 0 in
-  let hit_tol = ref false in
-  (try
-     for _ = 1 to opts.max_iters do
-       incr iters;
-       let f_y = fg ~mu y in
-       (* Backtracking on the projected-arc step from y. *)
-       let rec search step_try tries =
-         if tries = 0 then None
-         else begin
-           let dd = ref 0.0 in
-           for i = 0 to n - 1 do
-             let ci = clamp1 lo.(i) hi.(i) (y.(i) -. (step_try *. g.(i))) in
-             cand.(i) <- ci;
-             let d = y.(i) -. ci in
-             dd := !dd +. (d *. d)
-           done;
-           let fc = f ~mu cand in
-           if fc <= f_y -. (opts.armijo_c /. step_try *. !dd) then
-             Some (fc, step_try)
-           else begin
-             incr backtracks;
-             search (step_try *. opts.armijo_shrink) (tries - 1)
-           end
-         end
-       in
-       match search !step 60 with
-       | None ->
-           hit_tol := true;
-           raise Exit
-       | Some (fc, used_step) ->
-           (* Let the step grow back after a successful iteration so a
-              single steep region does not clamp it forever. *)
-           step := Float.min (used_step *. 2.0) (opts.step_init *. 1e3);
-           let move = ref 0.0 in
-           for i = 0 to n - 1 do
-             let d = Float.abs (cand.(i) -. x.(i)) in
-             if d > !move then move := d
-           done;
-           if fc > !fx then begin
-             (* Momentum overshot: restart from the best iterate. *)
-             t := 1.0;
-             Array.blit x 0 y 0 n;
-             if !move < opts.tol then begin
-               hit_tol := true;
-               raise Exit
-             end
-           end
-           else begin
-             let t' = (1.0 +. sqrt (1.0 +. (4.0 *. !t *. !t))) /. 2.0 in
-             let beta = (!t -. 1.0) /. t' in
-             for i = 0 to n - 1 do
-               y.(i) <- cand.(i) +. (beta *. (cand.(i) -. x.(i)));
-               x.(i) <- cand.(i)
-             done;
-             t := t';
-             fx := fc;
-             if !move < opts.tol then begin
-               hit_tol := true;
-               raise Exit
-             end
-           end
-     done
-   with Exit -> ());
-  (!iters, !hit_tol, !backtracks)
-
-(* Second-order oracle handed to {!newton_stage}: a masked
-   Hessian-vector product on the current free set plus the hooks that
-   prepare it ([so_mask], called right after the gradient sweep at the
-   same point and temperature) and the Gauss–Newton diagonal feeding
-   the Jacobi preconditioner.  All three close over one tape
-   workspace; the stage is careful to keep the tape's
-   eval_grad → mask → masked-HVP protocol (no other sweep through the
-   workspace in between). *)
-type second_order = {
-  so_mask : mu:float -> free:bool array -> unit;
-  so_hvp : x:Vec.t -> dx:Vec.t -> hvp:Vec.t -> unit;
-  so_diag : diag:Vec.t -> unit;
-}
-
 (* What one Newton stage did: outer iterations, CG iterations and HVPs,
    whether it stopped on its tolerance, and its projected-arc searches
    (Newton and gradient-arc fallback alike), their trial sweeps and the
@@ -233,11 +124,10 @@ type newton_stats = {
 }
 
 (* One stage of projected (two-metric) Newton-CG at a fixed smoothing
-   temperature, the stage every tape-engine solve runs in place of
-   FISTA.  Each outer iteration computes the gradient,
-   freezes the active box faces (bound reached, gradient pushing
-   outward), solves [H d = -g] on the free variables by
-   Jacobi-preconditioned conjugate gradients driven by masked tape
+   temperature over the compiled tape [c].  Each outer iteration
+   computes the gradient, freezes the active box faces (bound reached,
+   gradient pushing outward), solves [H d = -g] on the free variables
+   by Jacobi-preconditioned conjugate gradients driven by masked tape
    Hessian-vector products, fills the active components with steepest
    descent and searches the step grid along the projected arc.  The CG
    is inexact (Eisenstat–Walker-style forcing), so far from the optimum
@@ -247,9 +137,11 @@ type newton_stats = {
    bit for bit.  [grid] is {!step_grid}; [last_k] is the grid index of
    the last accepted Newton step, carried across the stages of one
    solve.  All buffers are caller-owned; [x] and [g] are updated in
-   place. *)
-let newton_stage ~opts ~tol ~mu ~f ~fg ~so ~grid ~last_k ~lo ~hi ~x ~g ~cand ~d
-    ~r ~p ~hp ~z ~mdiag ~free =
+   place.  The stage keeps the tape's eval_grad → mask → masked-HVP
+   protocol: no other sweep runs through [c]'s workspace between the
+   gradient sweep and the end of CG. *)
+let newton_stage ~opts ~tol ~mu c ~grid ~last_k ~lo ~hi ~x ~g ~cand ~d ~r ~p
+    ~hp ~z ~mdiag ~free =
   let n = Vec.dim x in
   let outer = ref 0 and cg_total = ref 0 and hvps = ref 0 in
   let searches = ref 0 and trials = ref 0 and fallbacks = ref 0 in
@@ -269,7 +161,7 @@ let newton_stage ~opts ~tol ~mu ~f ~fg ~so ~grid ~last_k ~lo ~hi ~x ~g ~cand ~d
   (try
      for _ = 1 to opts.newton_max_iters do
        incr outer;
-       let fx = fg ~mu x in
+       let fx = Tape.eval_grad ~mu c.tape c.ws ~x ~grad:g in
        (* Stationarity: the projected-gradient step length, plus an
           objective-stall stop — with inexact CG the iterates can keep
           inching below the step tolerance long after the objective has
@@ -303,7 +195,7 @@ let newton_stage ~opts ~tol ~mu ~f ~fg ~so ~grid ~last_k ~lo ~hi ~x ~g ~cand ~d
              for i = 0 to n - 1 do
                cand.(i) <- clamp1 lo.(i) hi.(i) (x.(i) -. (alpha *. g.(i)))
              done;
-             let fc = f ~mu cand in
+             let fc = Tape.eval ~mu c.tape c.ws cand in
              if fc < fx then Some fc
              else gprobe (alpha *. opts.armijo_shrink) (tries - 1)
            end
@@ -329,11 +221,11 @@ let newton_stage ~opts ~tol ~mu ~f ~fg ~so ~grid ~last_k ~lo ~hi ~x ~g ~cand ~d
        (* Mask the tape to the free set (the HVPs below sweep only the
           live instructions), then build the Jacobi preconditioner
           from the Gauss–Newton diagonal.  Both reuse the values and
-          adjoints the [fg] sweep above left in the workspace, so no
+          adjoints the gradient sweep above left in the workspace, so no
           further sweep may run until CG is done. *)
-       so.so_mask ~mu ~free;
+       Tape.hvp_mask ~mu c.tape c.ws ~free;
        if opts.precondition then begin
-         so.so_diag ~diag:mdiag;
+         Tape.hess_diag c.tape c.ws ~diag:mdiag;
          ignore (Precond.jacobi_clamp ~free mdiag)
        end
        else Array.fill mdiag 0 n 1.0;
@@ -358,7 +250,7 @@ let newton_stage ~opts ~tol ~mu ~f ~fg ~so ~grid ~last_k ~lo ~hi ~x ~g ~cand ~d
         while !continue_cg && !iter < Int.min opts.cg_max_iters n do
           incr iter;
           incr cg_total;
-          so.so_hvp ~x ~dx:p ~hvp:hp;
+          Tape.hvp_masked c.tape c.ws ~x ~dx:p ~hvp:hp;
           incr hvps;
           let php = ref 0.0 in
           for i = 0 to n - 1 do
@@ -406,7 +298,7 @@ let newton_stage ~opts ~tol ~mu ~f ~fg ~so ~grid ~last_k ~lo ~hi ~x ~g ~cand ~d
        let accept k =
          incr trials;
          let gd = arc grid.(k) in
-         let fc = f ~mu cand in
+         let fc = Tape.eval ~mu c.tape c.ws cand in
          fc <= fx +. (opts.armijo_c *. gd) && gd < 0.0
        in
        (* The accepted steps of one stage shrink slowly, so the Newton
@@ -463,16 +355,27 @@ let newton_stage ~opts ~tol ~mu ~f ~fg ~so ~grid ~last_k ~lo ~hi ~x ~g ~cand ~d
     fallbacks = !fallbacks;
   }
 
-(* The staged solve proper, over objective oracles: [f]/[fg] evaluate
-   the objective at a point (and [fg] writes its gradient into [g]);
-   [so] is the second-order oracle, absent on the Reference engine.
-   [x] is the projected start point, updated in place. *)
-let run ~options ~obs ~x0 ~lo ~hi ~x ~g ~f ~fg ~so =
+let start_point name ?x0 lo hi =
   let n = Vec.dim lo in
+  match x0 with
+  | Some x ->
+      if Vec.dim x <> n then invalid_arg (name ^ ": x0 dimension mismatch");
+      Vec.clamp ~lo ~hi x
+  | None -> Vec.init n (fun i -> (lo.(i) +. hi.(i)) /. 2.0)
+
+(* The staged solve proper, after the box and option checks (see
+   [solve_compiled]); [name] prefixes its error messages. *)
+let run ~options ~obs ?x0 name c ~lo ~hi =
+  let n = Vec.dim lo in
+  if Tape.n_vars c.tape > n then
+    invalid_arg (name ^ ": tape references variables outside the box");
+  let x = start_point name ?x0 lo hi in
   Obs.span obs ~cat:"solver" "solver.solve"
     ~args:[ ("vars", Obs.Events.Int n) ]
   @@ fun () ->
-  let y = Vec.create n 0.0 in
+  let g = Vec.create n 0.0 in
+  let f ~mu x = Tape.eval ~mu c.tape c.ws x in
+  let fg ~mu x = Tape.eval_grad ~mu c.tape c.ws ~x ~grad:g in
   let cand = Vec.create n 0.0 in
   (* Newton-CG buffers (step, residual, CG direction, H·p,
      preconditioned residual, preconditioner diagonal, active-set
@@ -504,10 +407,10 @@ let run ~options ~obs ~x0 ~lo ~hi ~x ~g ~f ~fg ~so =
   let total_hvps = ref 0 in
   let total_cg = ref 0 in
   let last_obj = ref Float.nan in
-  (* Per-stage convergence telemetry: smoothing temperature, gradient
-     iterations, Armijo backtracks and the exact objective reached.
-     The extra exact evaluation only happens with a live sink. *)
-  let report ~mu ~iters ~backtracks =
+  (* Per-stage convergence telemetry: smoothing temperature and the
+     exact objective reached.  The extra exact evaluation only happens
+     with a live sink. *)
+  let report ~mu =
     if Obs.enabled obs then begin
       let f_exact = f ~mu:0.0 x in
       let decrease =
@@ -518,79 +421,55 @@ let run ~options ~obs ~x0 ~lo ~hi ~x ~g ~f ~fg ~so =
         [
           ("stage", float_of_int !stages_done);
           ("mu", mu);
-          ("iterations", float_of_int iters);
-          ("backtracks", float_of_int backtracks);
           ("objective", f_exact);
           ("decrease", decrease);
         ]
     end
   in
   let run_stage mu =
-    (* With the second-order engine available, every stage is a
-       projected Newton-CG stage from the box projection of [x] —
-       including the exact (mu = 0) polish, where the masked HVP is the
-       generalised Hessian of the active piece: a projected-Newton step
-       along it is what pushes the last ~1e-3 of a stalled anneal out
-       (first-order steps zig-zag on the kinks of the max and stall
-       above the optimum).  Without it ([second_order = false] or the
-       [Reference] engine) the stage is a full FISTA stage.  Either way
-       the stage emits one ["solver.stage"] counter; a Newton stage
-       reports zero first-order iterations and backtracks, its outer
-       iterations going to ["solver.cg_iters"]. *)
-    let ok, iters, backtracks =
-      match so with
-      | Some so when options.second_order ->
-          for i = 0 to n - 1 do
-            x.(i) <- clamp1 lo.(i) hi.(i) x.(i)
-          done;
-          (* Intermediate smoothed stages only guide the anneal — the
-             next stage re-solves at a tighter temperature anyway — so
-             they stop on a loose tolerance; only the tightest smoothed
-             stage and the exact polish run to full [options.tol].  The
-             loose stages are also the expensive ones: at large mu the
-             smoothed-max curvature couples almost the whole tape into
-             the masked HVPs. *)
-          let tol =
-            if mu > mu_final *. 1.000001 then Float.max options.tol 1e-4
-            else options.tol
-          in
-          let s =
-            newton_stage ~opts:options ~tol ~mu ~f ~fg ~so ~grid ~last_k ~lo
-              ~hi ~x ~g ~cand ~d ~r ~p ~hp ~z ~mdiag ~free
-          in
-          total_iters := !total_iters + s.outer;
-          total_hvps := !total_hvps + s.hvps;
-          total_cg := !total_cg + s.cg_iters;
-          if Obs.enabled obs then begin
-            let stage = ("stage", float_of_int !stages_done) in
-            Obs.counter obs "solver.hvp"
-              [ stage; ("hvps", float_of_int s.hvps) ];
-            Obs.counter obs "solver.cg_iters"
-              [
-                stage;
-                ("newton_iters", float_of_int s.outer);
-                ("cg_iters", float_of_int s.cg_iters);
-              ];
-            Obs.counter obs "solver.linesearch"
-              [
-                stage;
-                ("searches", float_of_int s.searches);
-                ("trials", float_of_int s.trials);
-                ("fallbacks", float_of_int s.fallbacks);
-                ("last_index", float_of_int !last_k);
-              ]
-          end;
-          (s.hit_tol, 0, 0)
-      | _ ->
-          let iters, ok, backtracks =
-            stage ~opts:options ~mu ~f ~fg ~lo ~hi ~x ~y ~g ~cand
-          in
-          total_iters := !total_iters + iters;
-          (ok, iters, backtracks)
+    (* Every stage is a projected Newton-CG stage, including the exact
+       (mu = 0) polish, where the masked HVP is the generalised Hessian
+       of the active piece: a projected-Newton step along it is what
+       pushes the last ~1e-3 of a stalled anneal out (first-order steps
+       zig-zag on the kinks of the max and stall above the optimum).
+       Intermediate smoothed stages only guide the anneal — the next
+       stage re-solves at a tighter temperature anyway — so they stop on
+       a loose tolerance; only the tightest smoothed stage and the exact
+       polish run to full [options.tol].  The loose stages are also the
+       expensive ones: at large mu the smoothed-max curvature couples
+       almost the whole tape into the masked HVPs. *)
+    let tol =
+      if mu > mu_final *. 1.000001 then Float.max options.tol 1e-4
+      else options.tol
     in
+    let s =
+      newton_stage ~opts:options ~tol ~mu c ~grid ~last_k ~lo ~hi ~x ~g ~cand
+        ~d ~r ~p ~hp ~z ~mdiag ~free
+    in
+    total_iters := !total_iters + s.outer;
+    total_hvps := !total_hvps + s.hvps;
+    total_cg := !total_cg + s.cg_iters;
+    if Obs.enabled obs then begin
+      let stage = ("stage", float_of_int !stages_done) in
+      Obs.counter obs "solver.hvp" [ stage; ("hvps", float_of_int s.hvps) ];
+      Obs.counter obs "solver.cg_iters"
+        [
+          stage;
+          ("newton_iters", float_of_int s.outer);
+          ("cg_iters", float_of_int s.cg_iters);
+        ];
+      Obs.counter obs "solver.linesearch"
+        [
+          stage;
+          ("searches", float_of_int s.searches);
+          ("trials", float_of_int s.trials);
+          ("fallbacks", float_of_int s.fallbacks);
+          ("last_index", float_of_int !last_k);
+        ]
+    end;
     incr stages_done;
-    report ~mu ~iters ~backtracks;
-    ok
+    report ~mu;
+    s.hit_tol
   in
   (* Warm starts: when the caller supplies [x0] and it is already
      near-optimal at the tightest smoothing temperature, the anneal
@@ -626,7 +505,7 @@ let run ~options ~obs ~x0 ~lo ~hi ~x ~g ~f ~fg ~so =
           else probe (alpha *. options.armijo_shrink) (tries - 1)
         end
       in
-      let decrease = probe options.step_init 30 in
+      let decrease = probe 1.0 30 in
       (* Skip only when the probe cannot decrease the objective by more
          than the stages' own relative stall tolerance — i.e. [x0]
          already satisfies the stopping criterion the skipped stages
@@ -715,60 +594,16 @@ let run ~options ~obs ~x0 ~lo ~hi ~x ~g ~f ~fg ~so =
     cg_iterations = !total_cg;
   }
 
-let start_point name ?x0 lo hi =
-  let n = Vec.dim lo in
-  match x0 with
-  | Some x ->
-      if Vec.dim x <> n then invalid_arg (name ^ ": x0 dimension mismatch");
-      Vec.clamp ~lo ~hi x
-  | None -> Vec.init n (fun i -> (lo.(i) +. hi.(i)) /. 2.0)
-
-(* The tape engine without the box checks (see [solve_compiled]). *)
-let solve_tape ~options ~obs ?x0 name c ~lo ~hi =
-  let n = Vec.dim lo in
-  if Tape.n_vars c.tape > n then
-    invalid_arg (name ^ ": tape references variables outside the box");
-  let x = start_point name ?x0 lo hi in
-  let g = Vec.create n 0.0 in
-  let f ~mu x = Tape.eval ~mu c.tape c.ws x in
-  let fg ~mu x = Tape.eval_grad ~mu c.tape c.ws ~x ~grad:g in
-  let so =
-    {
-      so_mask = (fun ~mu ~free -> Tape.hvp_mask ~mu c.tape c.ws ~free);
-      so_hvp = (fun ~x ~dx ~hvp -> Tape.hvp_masked c.tape c.ws ~x ~dx ~hvp);
-      so_diag = (fun ~diag -> Tape.hess_diag c.tape c.ws ~diag);
-    }
-  in
-  run ~options ~obs ~x0 ~lo ~hi ~x ~g ~f ~fg ~so:(Some so)
-
 let solve_compiled ?(options = default_options) ?(obs = Obs.null) ?x0 c ~lo ~hi
     =
   check_box "Solver.solve_compiled" lo hi;
   check_options "Solver.solve_compiled" options;
-  solve_tape ~options ~obs ?x0 "Solver.solve_compiled" c ~lo ~hi
+  run ~options ~obs ?x0 "Solver.solve_compiled" c ~lo ~hi
 
-let solve ?(options = default_options) ?(engine = Tape) ?(obs = Obs.null) ?x0
+let solve ?(options = default_options) ?(obs = Obs.null) ?x0
     { objective; lo; hi } =
   check_box "Solver.solve" lo hi;
   check_options "Solver.solve" options;
   if Expr.max_var objective >= Vec.dim lo then
     invalid_arg "Solver.solve: objective references variables outside the box";
-  match engine with
-  | Tape ->
-      solve_tape ~options ~obs ?x0 "Solver.solve" (compile ~obs objective)
-        ~lo ~hi
-  | Reference ->
-      let n = Vec.dim lo in
-      let x = start_point "Solver.solve" ?x0 lo hi in
-      let g = Vec.create n 0.0 in
-      (* The memoised DAG-walking {!Expr} implementation, kept for
-         cross-checks.  No second-order oracle on this path: [run]
-         falls back to pure FISTA, which doubles as the reference
-         behaviour the property tests pin the Newton path to. *)
-      run ~options ~obs ~x0 ~lo ~hi ~x ~g
-        ~f:(fun ~mu x -> Expr.eval ~mu objective x)
-        ~fg:(fun ~mu x ->
-          let v, g' = Expr.eval_grad ~mu objective x in
-          Array.blit g' 0 g 0 n;
-          v)
-        ~so:None
+  run ~options ~obs ?x0 "Solver.solve" (compile ~obs objective) ~lo ~hi

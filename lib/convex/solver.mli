@@ -16,11 +16,10 @@
     runs exactly what {!solve_compiled} runs, so every sweep costs
     O(|tape|) and allocates nothing — instead of the O(n·|DAG|)
     forward-mode sweep of {!Expr.eval_grad}.  The DAG-walking
-    implementation remains available as the [Reference] engine for
-    cross-checking.
+    {!Expr.eval} and {!Expr.eval_grad} are not a solve path: they are
+    the independent reference a solve's result is checked against.
 
-    On the tape engine every stage is a projected (two-metric)
-    Newton-CG stage ({!options.second_order}, on by default).
+    Every stage is a projected (two-metric) Newton-CG stage.
     Jacobi-preconditioned conjugate gradients over masked tape
     Hessian-vector products ({!Tape.hvp_masked}, swept over the
     instructions live under the current free set only) solve the
@@ -46,11 +45,19 @@
     the arc, or rounding blurs the test at tiny steps, the two searches
     can accept different steps.  When the
     Newton arc admits no step the stage falls back to the projected
-    gradient arc, searched from α = 1.  Without the second-order oracle
-    ([second_order = false], or the [Reference] engine, which has none)
-    every stage is FISTA with Armijo backtracking instead.  Every sweep
-    runs serially on the calling domain; concurrent solves parallelise
-    across domains, each on its own {!compiled} value.
+    gradient arc, searched from α = 1: a truncated CG direction can fail
+    the Armijo test while the plain gradient still descends.  Every
+    sweep runs serially on the calling domain; concurrent solves
+    parallelise across domains, each on its own {!compiled} value.
+
+    After the exact polish a kink-valley escape probes for strict
+    descent of the tightest smoothed objective, whose gradient
+    averages the branches of a max and so points along a valley floor
+    where every exact subgradient step ascends; when it finds more than
+    the stall tolerance it re-runs the tightest smoothed stage and the
+    polish (at most twice), keeping the better exact point.  The golden
+    row [workgen-d3-s2] pins it: without the escape that solve ends
+    4.3e-4 relative worse.
 
     Supplying a starting point [x0] warm-starts the solve; when an
     Armijo-probed gradient step at the tightest smoothing temperature
@@ -58,7 +65,9 @@
     is already near-optimal, as a previous optimum from a nearby
     problem in a parameter sweep typically is — the anneal down to that
     temperature is skipped, which makes such re-solves several times
-    cheaper. *)
+    cheaper: in the [sweep] experiment (Strassen, 3 levels) re-solves
+    of the same program from its own optimum run 2.6–2.8× faster than
+    cold ones. *)
 
 type problem = {
   objective : Expr.t;
@@ -67,22 +76,15 @@ type problem = {
 }
 
 type options = {
-  max_iters : int;        (** FISTA iterations per smoothing stage
-                              (first-order stages only) *)
   tol : float;            (** stop when the projected-gradient step
                               moves x by less than [tol] in inf-norm *)
   mu_init : float;        (** initial smoothing temperature, as a
                               fraction of the initial objective value *)
   mu_final : float;       (** final temperature (same scaling) *)
   mu_decay : float;       (** multiplicative decay per stage, in (0,1) *)
-  step_init : float;      (** initial trial step for the FISTA and
-                              warm-start probe line searches *)
   armijo_c : float;       (** sufficient-decrease constant *)
   armijo_shrink : float;  (** backtracking factor and step-grid ratio
                               ({!grid_search}), in (0,1) *)
-  second_order : bool;    (** run every stage as projected Newton-CG
-                              over tape Hessian-vector products
-                              instead of FISTA (tape engines only) *)
   newton_max_iters : int; (** outer Newton iterations per stage *)
   cg_max_iters : int;     (** CG iterations per Newton system (also
                               capped at the variable count) *)
@@ -90,7 +92,9 @@ type options = {
       (** Jacobi-precondition the Newton-CG inner solves with the
           tape's Gauss–Newton Hessian diagonal ({!Tape.hess_diag},
           clamped by {!Precond.jacobi_clamp}).  On by default; with it
-          off the identity diagonal reproduces plain CG bit for bit. *)
+          off the identity diagonal reproduces plain CG bit for bit,
+          the reference against which the property suite checks that
+          preconditioned CG reaches the plain-CG optimum. *)
 }
 
 val default_options : options
@@ -117,8 +121,8 @@ val grid_search : start:int -> (int -> bool) -> int option
 type result = {
   x : Numeric.Vec.t;      (** final iterate (inside the box) *)
   value : float;          (** exact (unsmoothed) objective at [x] *)
-  iterations : int;       (** total gradient iterations across stages
-                              (FISTA plus Newton outer iterations) *)
+  iterations : int;       (** Newton outer iterations, summed over
+                              the stages *)
   stages : int;           (** smoothing stages performed *)
   converged : bool;       (** the final exact (unsmoothed) stage hit its
                               step tolerance *)
@@ -154,12 +158,6 @@ val eval_compiled : ?mu:float -> compiled -> Numeric.Vec.t -> float
 (** Evaluate a compiled objective; equals {!Expr.eval} on the original
     expression.  O(|tape|), allocation-free. *)
 
-type engine =
-  | Tape  (** compile the objective to a tape inside [solve] (default) *)
-  | Reference
-      (** the memoised DAG-walking {!Expr.eval} / {!Expr.eval_grad} —
-          the slow reference implementation, kept for cross-checks *)
-
 val solve_compiled :
   ?options:options ->
   ?obs:Obs.t ->
@@ -168,11 +166,10 @@ val solve_compiled :
   lo:Numeric.Vec.t ->
   hi:Numeric.Vec.t ->
   result
-(** The tape engine alone: minimise a compiled objective over the box
-    [lo ≤ x ≤ hi], with no {!Expr.t} anywhere.  This is the plan path:
-    the allocator emits its tape straight from the MDG and solves it
-    here.  Behaves exactly as {!solve} with the [Tape] engine on an
-    objective that compiles to the same tape — same iterates, counts
+(** Minimise a compiled objective over the box [lo ≤ x ≤ hi], with no
+    {!Expr.t} anywhere.  This is the plan path: the allocator emits its
+    tape straight from the MDG and solves it here.  Behaves exactly as
+    {!solve} on an objective that compiles to the same tape — same iterates, counts
     and telemetry.  Raises [Invalid_argument] if the box is empty,
     dimensions disagree, the tape references variables outside the
     box ({!Tape.n_vars}), or [options.mu_decay] or
@@ -181,7 +178,6 @@ val solve_compiled :
 
 val solve :
   ?options:options ->
-  ?engine:engine ->
   ?obs:Obs.t ->
   ?x0:Numeric.Vec.t ->
   problem ->
@@ -201,18 +197,16 @@ val solve :
     With a live [obs] sink (default {!Obs.null}: no overhead) the
     solve is wrapped in a ["solver.solve"] span and every smoothing
     stage emits a ["solver.stage"] counter sampling the smoothing
-    temperature [mu], first-order (FISTA) [iterations], Armijo
-    [backtracks], the exact (unsmoothed) [objective] reached and its
-    [decrease] from the previous stage.  Newton-CG stages report zero
-    first-order iterations there and additionally emit ["solver.hvp"]
-    (Hessian-vector products), ["solver.cg_iters"] (outer Newton and
-    inner CG iterations) and ["solver.linesearch"]: the stage's arc
-    [searches] (Newton and gradient-arc fallback alike), their [trials]
-    (forward sweeps), the [fallbacks] to the gradient arc and the
-    [last_index] of the step grid a Newton step accepted, as carried
-    into the next stage.  So over one solve the [solver.stage]
-    iterations plus the [newton_iters] sum to {!result.iterations}, the
-    [hvps] to [hvp_evals] and the [cg_iters] to [cg_iterations].  A
+    temperature [mu], the exact (unsmoothed) [objective] reached and its
+    [decrease] from the previous stage.  Before it the stage emits
+    ["solver.hvp"] (Hessian-vector products), ["solver.cg_iters"] (outer
+    Newton and inner CG iterations) and ["solver.linesearch"]: the
+    stage's arc [searches] (Newton and gradient-arc fallback alike),
+    their [trials] (forward sweeps), the [fallbacks] to the gradient arc
+    and the [last_index] of the step grid a Newton step accepted, as
+    carried into the next stage.  So over one solve the [newton_iters]
+    sum to {!result.iterations}, the [hvps] to [hvp_evals] and the
+    [cg_iters] to [cg_iterations].  A
     warm-started solve emits one ["solver.warm_start"] counter recording
     the probed gradient-step decrease at [x0] and whether the anneal
     was skipped; even a skipped anneal still runs the tightest smoothed

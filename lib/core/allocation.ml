@@ -126,7 +126,7 @@ let add_kid acc s = acc.kids <- s :: acc.kids
 (* Every coefficient the emitter writes for an edge of non-zero size is
    the coefficient of an [Expr.term] in the critical-path DAG, which the
    reference builds first; reject it with that constructor's message so
-   both engines fail alike. *)
+   the tape and the expression fail alike. *)
 let coeff c =
   if not (Float.is_finite c) || c <= 0.0 then
     invalid_arg "Expr.term: coefficient must be positive and finite";
@@ -299,43 +299,26 @@ let objective_tape params g ~procs =
   check params g ~procs;
   objective_tape_unchecked params g ~procs
 
-let solve ?options ?(engine = `Tape) ?obs ?x0 params g ~procs =
+let solve ?options ?obs ?x0 params g ~procs =
   check params g ~procs;
   let n = G.num_nodes g in
   let lo = Numeric.Vec.create n 0.0 in
   let hi = Numeric.Vec.create n (log (float_of_int procs)) in
-  match engine with
-  | `Tape ->
-      let c =
-        Convex.Solver.compile_tape ?obs (fun () ->
-            objective_tape_unchecked params g ~procs)
-      in
-      let solver = Convex.Solver.solve_compiled ?options ?obs ?x0 c ~lo ~hi in
-      (* A_p and C_p come off the tape: the exact (mu = 0) Φ sweep
-         computes them on its way to the root max, whose branches are
-         [A_p; C_p] in that order. *)
-      let phi = Convex.Solver.eval_compiled c solver.x in
-      let average, critical_path =
-        match Convex.Solver.compiled_branches c with
-        | [| a; cp |] -> (a, cp)
-        | _ -> invalid_arg "Allocation.solve: tape root is not max(A_p, C_p)"
-      in
-      { alloc = Array.map exp solver.x; phi; average; critical_path; solver }
-  | `Reference ->
-      let avg = average_expr params g ~procs in
-      let cp = critical_path_expr params g ~procs in
-      let obj = E.max_ [ avg; cp ] in
-      let solver =
-        Convex.Solver.solve ?options ~engine:Convex.Solver.Reference ?obs ?x0
-          { objective = obj; lo; hi }
-      in
-      {
-        alloc = Array.map exp solver.x;
-        phi = E.eval obj solver.x;
-        average = E.eval avg solver.x;
-        critical_path = E.eval cp solver.x;
-        solver;
-      }
+  let c =
+    Convex.Solver.compile_tape ?obs (fun () ->
+        objective_tape_unchecked params g ~procs)
+  in
+  let solver = Convex.Solver.solve_compiled ?options ?obs ?x0 c ~lo ~hi in
+  (* A_p and C_p come off the tape: the exact (mu = 0) Φ sweep computes
+     them on its way to the root max, whose branches are [A_p; C_p] in
+     that order. *)
+  let phi = Convex.Solver.eval_compiled c solver.x in
+  let average, critical_path =
+    match Convex.Solver.compiled_branches c with
+    | [| a; cp |] -> (a, cp)
+    | _ -> invalid_arg "Allocation.solve: tape root is not max(A_p, C_p)"
+  in
+  { alloc = Array.map exp solver.x; phi; average; critical_path; solver }
 
 let evaluate params g ~procs ~alloc =
   check params g ~procs;

@@ -28,8 +28,8 @@ type result = {
     The plan path never builds an expression: {!objective_tape} writes
     the objective's flat tape straight from the graph, and {!solve}
     runs on it.  The {!Convex.Expr} builders below are the reference
-    implementation — the [`Reference] engine, {!evaluate} and the test
-    suite's equality check use them. *)
+    implementation: {!evaluate} and the test suite's equality checks
+    use them. *)
 
 val objective_tape :
   Costmodel.Params.t -> Mdg.Graph.t -> procs:int -> Convex.Tape.t
@@ -56,7 +56,6 @@ val critical_path_expr :
 
 val solve :
   ?options:Convex.Solver.options ->
-  ?engine:[ `Tape | `Reference ] ->
   ?obs:Obs.t ->
   ?x0:Numeric.Vec.t ->
   Costmodel.Params.t ->
@@ -75,14 +74,10 @@ val solve :
     near-stationary for the next problem, letting the solver skip its
     annealing stages — see {!Convex.Solver.solve}.
 
-    [engine] (default [`Tape]) selects the objective evaluator:
-    [`Tape] emits the objective's tape ({!objective_tape}) and solves
-    it with {!Convex.Solver.solve_compiled}, which drives every solver
-    iteration and the exact Φ evaluation, and reads A_p and C_p off
-    the root max's branches — no {!Convex.Expr} node is built;
-    [`Reference] builds the expression DAG and runs the original
-    DAG-walking {!Convex.Expr.eval_grad} path (orders of magnitude
-    slower on large MDGs; kept for cross-checking). *)
+    The solve emits the objective's tape ({!objective_tape}), solves it
+    with {!Convex.Solver.solve_compiled}, which drives every solver
+    iteration and the exact Φ evaluation, and reads A_p and C_p off the
+    root max's branches: no {!Convex.Expr} node is built. *)
 
 val evaluate :
   Costmodel.Params.t -> Mdg.Graph.t -> procs:int -> alloc:float array -> float

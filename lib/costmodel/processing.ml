@@ -1,7 +1,7 @@
 module P = Convex.Posynomial
 
 let cost (proc : Params.processing) p =
-  if p < 1.0 then invalid_arg "Processing.cost: p < 1";
+  if not (p >= 1.0) then invalid_arg "Processing.cost: p < 1";
   (proc.alpha +. ((1.0 -. proc.alpha) /. p)) *. proc.tau
 
 let cost_int proc p = cost proc (float_of_int p)

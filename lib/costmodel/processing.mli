@@ -3,7 +3,7 @@
 
 val cost : Params.processing -> float -> float
 (** [cost proc p] for a real processor count [p >= 1].  Raises
-    [Invalid_argument] if [p < 1]. *)
+    [Invalid_argument] if [p < 1] or [p] is NaN. *)
 
 val cost_int : Params.processing -> int -> float
 

@@ -5,8 +5,9 @@ type components = { send : float; network : float; receive : float }
 
 let check_args ~bytes ~p_send ~p_recv =
   if bytes < 0.0 || not (Float.is_finite bytes) then
-    invalid_arg "Transfer: negative byte count";
-  if p_send < 1.0 || p_recv < 1.0 then
+    invalid_arg "Transfer: byte count negative or not finite";
+  (* Negated so that a NaN count fails too. *)
+  if not (p_send >= 1.0 && p_recv >= 1.0) then
     invalid_arg "Transfer: processor counts must be >= 1"
 
 let components (tr : Params.transfer) ~kind ~bytes ~p_send ~p_recv =

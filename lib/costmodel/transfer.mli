@@ -24,7 +24,9 @@ val components :
   p_recv:float ->
   components
 (** Exact model values for real processor counts [>= 1].
-    Zero-byte transfers (dummy edges) cost zero in every component. *)
+    Zero-byte transfers (dummy edges) cost zero in every component.
+    Raises [Invalid_argument] if [bytes] is negative or not finite, or
+    a processor count is below 1 or NaN. *)
 
 val total : components -> float
 

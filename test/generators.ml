@@ -168,3 +168,58 @@ let program_case () =
 
 let program_of_workgen ?(size = 8) { wg_spec; wg_seed } =
   Workgen.generate_program wg_spec ~seed:wg_seed ~size
+
+(* ------------------------------------------------------------------ *)
+(* Allocation solves against the Expr reference                        *)
+(* ------------------------------------------------------------------ *)
+
+(* The solve's Φ, A_p and C_p against the DAG-walking Expr reference,
+   which shares no code with the tape the solver ran on: [phi] must be
+   Allocation.evaluate at [alloc], and [average] and [critical_path]
+   Expr.eval of their expressions at ln alloc, each within 1e-9
+   relative.  Returns the disagreements, none when all three agree. *)
+let expr_mismatches params g ~procs (r : Core.Allocation.result) =
+  let x = Array.map log r.alloc in
+  let eval expr = Convex.Expr.eval (expr params g ~procs) x in
+  List.filter_map
+    (fun (what, got, reference) ->
+      if Float.abs (got -. reference) <= 1e-9 *. Float.abs reference then None
+      else
+        Some
+          (Printf.sprintf "%s %.17g, Expr reference %.17g" what got reference))
+    [
+      ("phi", r.phi, Core.Allocation.evaluate params g ~procs ~alloc:r.alloc);
+      ("average", r.average, eval Core.Allocation.average_expr);
+      ( "critical_path",
+        r.critical_path,
+        eval Core.Allocation.critical_path_expr );
+    ]
+
+(* KKT stationarity, stated as achievable descent: the largest decrease
+   of the mu_final-smoothed Expr objective that a halving-backtracked
+   projected-gradient step from the solve's optimum finds, relative to
+   1 + |value|.  (The raw projected-gradient norm is the wrong measure:
+   at a kink of the max the smoothed gradient is O(1) even at the exact
+   minimiser, but no feasible step along it descends.)  mu_final is the
+   solver's own tightest temperature: the default 1e-6 scaled by the
+   objective at the default (box-centre) start. *)
+let mu_final_descent params g ~procs (r : Core.Allocation.result) =
+  let obj = Core.Allocation.objective params g ~procs in
+  let hi = log (float_of_int procs) in
+  let centre = Array.make (G.num_nodes g) (0.5 *. hi) in
+  let mu = 1e-6 *. Float.max (Float.abs (Convex.Expr.eval obj centre)) 1e-30 in
+  let x = Array.map log r.alloc in
+  let fx, gr = Convex.Expr.eval_grad ~mu obj x in
+  let rec probe alpha tries =
+    if tries = 0 then 0.0
+    else begin
+      let c =
+        Array.mapi
+          (fun i xi -> Float.min hi (Float.max 0.0 (xi -. (alpha *. gr.(i)))))
+          x
+      in
+      let fc = Convex.Expr.eval ~mu obj c in
+      if fc < fx then fx -. fc else probe (alpha /. 2.0) (tries - 1)
+    end
+  in
+  probe 1.0 30 /. (1.0 +. Float.abs fx)

@@ -273,8 +273,8 @@ let test_solver_empty_box_rejected () =
     (fun () ->
       ignore (Solver.solve { objective = e; lo = [| 1.0 |]; hi = [| 0.0 |] }))
 
-(* Both solve entry points, both engines: each must reject [options]
-   before running a stage. *)
+(* Both solve entry points: each must reject [options] before running
+   a stage. *)
 let check_rejects_option field values with_value =
   let e =
     Expr.max_
@@ -289,12 +289,9 @@ let check_rejects_option field values with_value =
     (fun v ->
       let options = with_value v in
       let label entry = Printf.sprintf "%s %s = %g" entry field v in
-      List.iter
-        (fun engine ->
-          Alcotest.check_raises (label "solve")
-            (Invalid_argument (msg "Solver.solve")) (fun () ->
-              ignore (Solver.solve ~options ~engine { objective = e; lo; hi })))
-        [ Solver.Tape; Solver.Reference ];
+      Alcotest.check_raises (label "solve")
+        (Invalid_argument (msg "Solver.solve")) (fun () ->
+          ignore (Solver.solve ~options { objective = e; lo; hi }));
       Alcotest.check_raises (label "solve_compiled")
         (Invalid_argument (msg "Solver.solve_compiled")) (fun () ->
           ignore (Solver.solve_compiled ~options (Solver.compile e) ~lo ~hi)))

@@ -59,7 +59,9 @@ let test_processing_amdahl () =
   check_close "limit" 2.0 (Proc.limit proc_ex);
   check_close "speedup at 4" (10.0 /. 4.0) (Proc.best_speedup proc_ex ~procs:4);
   Alcotest.check_raises "p<1" (Invalid_argument "Processing.cost: p < 1")
-    (fun () -> ignore (Proc.cost proc_ex 0.5))
+    (fun () -> ignore (Proc.cost proc_ex 0.5));
+  Alcotest.check_raises "p NaN" (Invalid_argument "Processing.cost: p < 1")
+    (fun () -> ignore (Proc.cost proc_ex Float.nan))
 
 let test_processing_monotone_decreasing () =
   let prev = ref infinity in
@@ -176,9 +178,29 @@ let test_transfer_2d_posynomials () =
        [| 4.0; 2.0 |])
 
 let test_transfer_validation () =
+  let components ~bytes ~p_send ~p_recv () =
+    ignore (T.components tr ~kind:G.Oned ~bytes ~p_send ~p_recv)
+  in
   Alcotest.check_raises "p<1"
-    (Invalid_argument "Transfer: processor counts must be >= 1") (fun () ->
-      ignore (T.components tr ~kind:G.Oned ~bytes:1.0 ~p_send:0.5 ~p_recv:1.0))
+    (Invalid_argument "Transfer: processor counts must be >= 1")
+    (components ~bytes:1.0 ~p_send:0.5 ~p_recv:1.0);
+  List.iter
+    (fun (what, p_send, p_recv) ->
+      Alcotest.check_raises what
+        (Invalid_argument "Transfer: processor counts must be >= 1")
+        (components ~bytes:1.0 ~p_send ~p_recv))
+    [ ("p_send NaN", Float.nan, 1.0); ("p_recv NaN", 1.0, Float.nan) ];
+  List.iter
+    (fun (what, bytes) ->
+      Alcotest.check_raises what
+        (Invalid_argument "Transfer: byte count negative or not finite")
+        (components ~bytes ~p_send:1.0 ~p_recv:1.0))
+    [
+      ("bytes < 0", -1.0);
+      ("bytes NaN", Float.nan);
+      ("bytes inf", Float.infinity);
+      ("bytes -inf", Float.neg_infinity);
+    ]
 
 (* ------------------------------------------------------------------ *)
 (* Weights                                                             *)

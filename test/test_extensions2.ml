@@ -69,7 +69,7 @@ let test_recursive_schedulable () =
     Core.Pipeline.(
       default_config
       |> with_solver_options
-           { Convex.Solver.default_options with max_iters = 40; mu_final = 1e-3 })
+           { Convex.Solver.default_options with mu_final = 1e-3 })
   in
   let plan = Core.Pipeline.plan_exn ~config params g ~procs:64 in
   (match Core.Schedule.validate params plan.graph plan.psa.schedule with

@@ -1,7 +1,8 @@
 (* Golden regression pins for the end-to-end allocation solve: Phi and
    the solver's stage/iteration counts for the two paper programs
    (complex matrix multiply, recursive Strassen at levels 1-2) on the
-   simulated CM-5 at 64 processors, against test/golden/solver.golden.
+   simulated CM-5, and for one workgen shape on synthetic kernels, all
+   at 64 processors, against test/golden/solver.golden.
 
    The golden file carries its own tolerances per row; see its header
    for the format and how to regenerate after an intentional solver
@@ -31,7 +32,18 @@ let cases () =
     in
     (Printf.sprintf "strassen-l%d" levels, g, p)
   in
-  [ complex; strassen 1; strassen 2 ]
+  (* A solve the kink-valley escape wins: its exact polish parks on a
+     kink of the max, and the escape's re-descent at mu_final finds a
+     lower Phi (without it, 4 stages and a Phi 4.3e-4 relative
+     worse). *)
+  let workgen =
+    ( "workgen-d3-s2",
+      Workgen.generate
+        (Workgen.spec_of_string_exn "depth=3,branch=3,div=1,comb=1")
+        ~seed:2,
+      Costmodel.Params.make ~transfer:Costmodel.Params.cm5_transfer )
+  in
+  [ complex; strassen 1; strassen 2; workgen ]
 
 type golden = {
   phi : float;

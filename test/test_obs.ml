@@ -392,7 +392,7 @@ let test_traced_strassen2_pipeline () =
     Core.Pipeline.(
       default_config
       |> with_solver_options
-           { Convex.Solver.default_options with max_iters = 40; mu_final = 1e-3 }
+           { Convex.Solver.default_options with mu_final = 1e-3 }
       |> with_obs (Obs.Recorder.sink recorder))
   in
   let plan = Core.Pipeline.plan_exn ~config params g ~procs:16 in
@@ -454,14 +454,10 @@ let series_sum events name key =
       | _ -> acc)
     0.0 events
 
-let check_counter_contract label ?(options = Convex.Solver.default_options)
-    params g ~procs =
+let check_counter_contract label params g ~procs =
   let recorder = Obs.Recorder.create () in
   let config =
-    Core.Pipeline.(
-      default_config
-      |> with_solver_options options
-      |> with_obs (Obs.Recorder.sink recorder))
+    Core.Pipeline.(default_config |> with_obs (Obs.Recorder.sink recorder))
   in
   let plan = Core.Pipeline.plan_exn ~config params g ~procs in
   let r = plan.allocation.solver in
@@ -471,15 +467,15 @@ let check_counter_contract label ?(options = Convex.Solver.default_options)
   check "one solve" 1 (count_name events "solver.solve");
   check "solver.stage events = stages" r.stages
     (count_name events "solver.stage");
-  check "stage + Newton iterations = iterations" r.iterations
-    (sum "solver.stage" "iterations" + sum "solver.cg_iters" "newton_iters");
+  check "Newton iterations = iterations" r.iterations
+    (sum "solver.cg_iters" "newton_iters");
   check "hvps = hvp_evals" r.hvp_evals (sum "solver.hvp" "hvps");
   check "cg_iters = cg_iterations" r.cg_iterations
     (sum "solver.cg_iters" "cg_iters");
-  (* Every Newton stage, and only a Newton stage, emits solver.hvp and
+  (* Every stage is a Newton stage and emits solver.hvp and
      solver.linesearch once. *)
-  check "one solver.linesearch per Newton stage"
-    (count_name events "solver.hvp")
+  check "one solver.hvp per stage" r.stages (count_name events "solver.hvp");
+  check "one solver.linesearch per stage" r.stages
     (count_name events "solver.linesearch");
   Alcotest.(check bool)
     (label ^ ": linesearch trials >= searches")
@@ -506,16 +502,7 @@ let test_solver_counter_contract () =
     Costmodel.Params.make ~transfer:Costmodel.Params.cm5_transfer
   in
   let r = check_counter_contract "workgen" synthetic shape ~procs:64 in
-  Alcotest.(check bool) "workgen ran Newton-CG" true (r.hvp_evals > 0);
-  (* The first-order stages report their FISTA iterations on
-     solver.stage instead. *)
-  let r =
-    check_counter_contract "workgen, first order"
-      ~options:{ Convex.Solver.default_options with second_order = false }
-      synthetic shape ~procs:64
-  in
-  Alcotest.(check bool) "first order ran FISTA" true
-    (r.iterations > 0 && r.hvp_evals = 0)
+  Alcotest.(check bool) "workgen ran Newton-CG" true (r.hvp_evals > 0)
 
 let suite =
   [

@@ -2,8 +2,8 @@
    cross-checks against the reference DAG-walking Expr.eval /
    Expr.eval_grad, central finite differences on the smoothed
    objective, the zero-allocation guarantee of a warm tape, and
-   end-to-end consistency of Allocation.solve between the tape and
-   reference solver engines. *)
+   end-to-end checks of Allocation.solve, which runs on the tape,
+   against the Expr reference. *)
 
 open Convex
 module G = Mdg.Graph
@@ -227,7 +227,7 @@ let test_tape_warm_gradient_no_alloc () =
     Alcotest.failf "warm tape call allocates %.1f words per call" per_call
 
 (* ------------------------------------------------------------------ *)
-(* End-to-end: tape vs reference solver engines                        *)
+(* End-to-end: the tape solve against the Expr reference               *)
 (* ------------------------------------------------------------------ *)
 
 let seed_params kernels =
@@ -242,36 +242,30 @@ let seed_params kernels =
     kernels;
   p
 
-let check_engines_agree name g kernels =
+(* The same checks as the solver property suite's stationarity
+   property, on the paper's programs: Φ, A_p and C_p equal the Expr
+   reference at the returned allocation, and no projected-gradient step
+   of the mu_final-smoothed Expr objective descends by more than 1e-5
+   relative. *)
+let check_against_expr name g kernels =
   let params = seed_params kernels in
   let g = G.normalise g in
   let procs = 64 in
-  (* Disable the Newton-CG refinement so both engines run the identical
-     FISTA trajectory: this test isolates the evaluator (tape vs Expr).
-     Second-order-vs-reference agreement is pinned separately by the
-     solver property suite. *)
-  let options = { Solver.default_options with second_order = false } in
-  let tape = Core.Allocation.solve ~options params g ~procs in
-  let reference = Core.Allocation.solve ~options ~engine:`Reference params g ~procs in
-  let rel = Float.abs (tape.phi -. reference.phi) /. reference.phi in
-  if rel > 1e-6 then
-    Alcotest.failf "%s: tape phi %.9f vs reference phi %.9f (rel %.2e)" name
-      tape.phi reference.phi rel;
-  (* Both allocations must be feasible and equivalent under the exact
-     objective. *)
-  let eval alloc = Core.Allocation.evaluate params g ~procs ~alloc in
-  let d = Float.abs (eval tape.alloc -. eval reference.alloc) in
-  Alcotest.(check bool)
-    (name ^ ": allocations equivalent under exact objective") true
-    (d /. reference.phi < 1e-6)
+  let r = Core.Allocation.solve params g ~procs in
+  List.iter
+    (fun m -> Alcotest.failf "%s: %s" name m)
+    (Generators.expr_mismatches params g ~procs r);
+  let descent = Generators.mu_final_descent params g ~procs r in
+  if descent > 1e-5 then
+    Alcotest.failf "%s: %.3g relative descent left at mu_final" name descent
 
-let test_solver_engines_agree_complex_mm () =
+let test_solve_vs_expr_complex_mm () =
   let g, _ = Kernels.Complex_mm.graph ~n:64 () in
-  check_engines_agree "complex-mm" g (Kernels.Complex_mm.kernels ~n:64)
+  check_against_expr "complex-mm" g (Kernels.Complex_mm.kernels ~n:64)
 
-let test_solver_engines_agree_strassen () =
+let test_solve_vs_expr_strassen () =
   let g, _ = Kernels.Strassen_mdg.graph ~n:128 () in
-  check_engines_agree "strassen" g (Kernels.Strassen_mdg.kernels ~n:128)
+  check_against_expr "strassen" g (Kernels.Strassen_mdg.kernels ~n:128)
 
 let test_allocation_objective_tape_smoke () =
   (* Cheap consistency smoke on the real allocation objective: tape
@@ -318,10 +312,10 @@ let suite =
       test_tape_subgradient_at_kink_matches_expr;
     Alcotest.test_case "warm tape gradient allocates nothing" `Quick
       test_tape_warm_gradient_no_alloc;
-    Alcotest.test_case "solver engines agree: complex-mm" `Quick
-      test_solver_engines_agree_complex_mm;
-    Alcotest.test_case "solver engines agree: strassen" `Slow
-      test_solver_engines_agree_strassen;
+    Alcotest.test_case "solve vs Expr reference: complex-mm" `Quick
+      test_solve_vs_expr_complex_mm;
+    Alcotest.test_case "solve vs Expr reference: strassen" `Slow
+      test_solve_vs_expr_strassen;
     Alcotest.test_case "allocation objective: tape smoke" `Quick
       test_allocation_objective_tape_smoke;
   ]
