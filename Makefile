@@ -1,7 +1,7 @@
 # Development entry points.  `make verify` is the tier-1 gate: build,
 # test, and (when ocamlformat is installed) formatting drift.
 
-.PHONY: all build test test-long fmt fmt-apply verify bench-quick bench-serve-quick planbench-smoke clean
+.PHONY: all build test test-long fmt fmt-apply verify bench-quick planbench-smoke bench-ab clean
 
 all: build
 
@@ -47,13 +47,6 @@ bench-quick: build
 	dune exec bench/main.exe -- micro
 	dune exec bench/main.exe -- scale-quick
 
-# Serving smoke: start the plan server, drive it with concurrent
-# clients for 2 s, and fail on any dropped request, a near-dup mix
-# with no exact cache hit, or a hot-key mix that never coalesces (see
-# bench/serve_bench.ml).
-bench-serve-quick: build
-	dune exec bench/main.exe -- serve-quick
-
 # Plan-service benchmark smoke: one short untraced run of each
 # planbench workload.  planbench exits non-zero when a reply's Phi
 # disagrees with the Expr reference (Allocation.evaluate) by more than
@@ -63,6 +56,17 @@ planbench-smoke: build
 	for w in plan-cold serve-hit serve-drift; do \
 		python3 planbench/run.py --workload $$w --seed 1 --seconds 1 --trace 0 || exit 1; \
 	done
+
+# Parent-vs-change A/B of planbench: the working tree against git
+# revision BASE (extracted to a temporary directory), 10 alternating
+# pairs of full-length runs per workload.  Prints each end-to-end
+# metric's median [Q1, Q3] on both sides, the pairs the change wins and
+# a verdict against the BENCHMARK.json bound; exits 1 on any `worse`.
+# Each 10 s run also repeats its set-up, so the 60 runs take about 35
+# minutes on 2 vCPUs: not a CI step.
+bench-ab:
+	@test -n "$(BASE)" || { echo "usage: make bench-ab BASE=<rev>" >&2; exit 2; }
+	python3 bench/ab.py $(BASE)
 
 clean:
 	dune clean

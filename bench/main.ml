@@ -87,8 +87,6 @@ let () =
       Experiments.all ();
       run_micro ()
   | [| _; "micro" |] -> run_micro ()
-  | [| _; "serve" |] -> Serve_bench.serve ()
-  | [| _; "serve-quick" |] -> Serve_bench.serve_quick ()
   | [| _; name |] -> (Experiments.by_name name) ()
   | argv when Array.length argv > 2 && argv.(1) = "scale" ->
       (* Ad-hoc scaling rows, e.g.
@@ -100,6 +98,6 @@ let () =
   | _ ->
       prerr_endline
         "usage: main.exe \
-         [fig1|tab1|fig3|tab2|fig5|fig6|fig7|fig8|fig9|tab3|ablate|sweep|static|heuristics|topology|scale|scale-quick|expand|serve|serve-quick|micro]\n\
+         [fig1|tab1|fig3|tab2|fig5|fig6|fig7|fig8|fig9|tab3|ablate|sweep|static|heuristics|topology|scale|scale-quick|expand|micro]\n\
          \       main.exe scale [<levels>|strassen:<levels>|random:<spec>:<seed>]...";
       exit 2

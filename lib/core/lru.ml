@@ -20,8 +20,6 @@ let create cap =
   if cap < 1 then invalid_arg "Lru.create: capacity must be >= 1";
   { cap; tbl = Hashtbl.create (Int.min cap 64); head = None; tail = None }
 
-let capacity t = t.cap
-
 let length t = Hashtbl.length t.tbl
 
 (* Splice [n] out of the recency list (it must be linked). *)
@@ -54,15 +52,6 @@ let find t k =
 
 let peek t k = Option.map (fun n -> n.value) (Hashtbl.find_opt t.tbl k)
 
-let mem t k = Hashtbl.mem t.tbl k
-
-let remove t k =
-  match Hashtbl.find_opt t.tbl k with
-  | None -> ()
-  | Some n ->
-      unlink t n;
-      Hashtbl.remove t.tbl k
-
 let set t k v =
   match Hashtbl.find_opt t.tbl k with
   | Some n ->
@@ -91,5 +80,3 @@ let to_list t =
     | Some n -> walk ((n.key, n.value) :: acc) n.next
   in
   walk [] t.head
-
-let iter f t = List.iter (fun (k, v) -> f k v) (to_list t)

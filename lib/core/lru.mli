@@ -13,8 +13,6 @@ val create : int -> ('k, 'v) t
 (** [create cap] holds at most [cap] bindings.  Raises
     [Invalid_argument] when [cap < 1]. *)
 
-val capacity : ('k, 'v) t -> int
-
 val length : ('k, 'v) t -> int
 
 val find : ('k, 'v) t -> 'k -> 'v option
@@ -23,18 +21,10 @@ val find : ('k, 'v) t -> 'k -> 'v option
 val peek : ('k, 'v) t -> 'k -> 'v option
 (** Lookup without touching the recency order. *)
 
-val mem : ('k, 'v) t -> 'k -> bool
-(** Membership without touching the recency order. *)
-
 val set : ('k, 'v) t -> 'k -> 'v -> ('k * 'v) option
 (** Insert or replace, marking the binding most recently used.  When an
     insert would exceed the capacity the least recently used binding is
     evicted and returned. *)
 
-val remove : ('k, 'v) t -> 'k -> unit
-
 val to_list : ('k, 'v) t -> ('k * 'v) list
 (** Bindings from most to least recently used. *)
-
-val iter : ('k -> 'v -> unit) -> ('k, 'v) t -> unit
-(** Iterate from most to least recently used. *)

@@ -32,8 +32,9 @@
       Pipeline.plan ~config (Pipeline.request params g ~procs)
     ]}
 
-    With a cache configured, {!plan} keys the last result by
-    [(Mdg.Graph.structural_hash, Costmodel.Params.fingerprint, procs)].
+    With a cache configured, {!plan} keys the last result by the
+    request's exact bytes ({!Plan_cache.key}: the normalised graph
+    without labels, the cost constants and [procs]), compared in full.
     An exact duplicate is answered with the cached allocation outright
     (the solver is deterministic, so re-solving could only reproduce
     it) and emits no tape.  Anything else goes through

@@ -4,19 +4,22 @@
     submit the same MDG shapes under the same cost constants and
     machine sizes.  Under the paper's formulation the optimum is a pure
     function of the MDG, the cost constants and the machine size, so
-    one result cache amortises that repetition.  It maps
-    [(structural hash, cost fingerprint, procs)] to the result of the
-    one cold solve of that key: an exact duplicate is answered with the
-    cached {!Allocation.result} outright — the solver is not re-entered
-    and no objective tape is emitted.  Every other request is solved
-    cold, so a plan served through the cache is the plan
-    {!Pipeline.plan} computes without one, whatever the cache held
-    before.
+    one result cache amortises that repetition.  It maps a request's
+    {!key} to the result of the one cold solve of that key: an exact
+    duplicate is answered with the cached {!Allocation.result} outright
+    — the solver is not re-entered and no objective tape is emitted.
+    Every other request is solved cold, so a plan served through the
+    cache is the plan {!Pipeline.plan} computes without one, whatever
+    the cache held before.
 
-    Keys use {!Mdg.Graph.structural_hash} and
-    {!Costmodel.Params.fingerprint}; because the structural hash
-    ignores node labels, requests for the same computation under
-    different names share entries.
+    A key is the request's exact bytes ({!Mdg.Graph.add_key},
+    {!Costmodel.Params.add_key} and [procs]), compared in full; a hash
+    of it only picks the bucket.  So two requests share an entry
+    exactly when they pose the same convex program, and a crafted
+    digest collision cannot serve one request another's plan.  The
+    graph key ignores node labels, so requests for the same computation
+    under different names share entries.  The cache stores the key
+    string, never the decoded graph.
 
     A second structure, the {b in-flight table}, coalesces concurrent
     identical misses: while one domain is solving a key, every other
@@ -35,7 +38,11 @@
 
 type t
 
-type key = { graph_hash : int64; fingerprint : int64; procs : int }
+type key = private string
+
+val key : Costmodel.Params.t -> Mdg.Graph.t -> procs:int -> key
+(** The exact key of planning the (normalised) graph on [procs]
+    processors under the given constants. *)
 
 type stats = {
   tape_hits : int;

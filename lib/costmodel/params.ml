@@ -58,25 +58,25 @@ let processing t kernel =
 let known_kernels t =
   Hashtbl.fold (fun k _ acc -> k :: acc) t.table [] |> List.sort compare
 
-(* The fingerprint folds every constant that enters a cost expression:
-   the five transfer parameters and the registered per-kernel Amdahl
-   pairs (in the deterministic [known_kernels] order).  Two parameter
-   sets with equal fingerprints therefore produce identical objectives
-   on the same graph, which is what makes the fingerprint a sound
+(* The key holds every constant that enters a cost expression: the five
+   transfer parameters and the registered per-kernel Amdahl pairs, in
+   the deterministic [known_kernels] order and preceded by their count.
+   Two parameter sets with equal keys therefore produce identical
+   objectives on the same graph, which is what makes the key a sound
    plan-cache key component. *)
-let fingerprint t =
-  let module F = Numeric.Fnv in
+let add_key b t =
+  let float x = Buffer.add_int64_le b (Int64.bits_of_float x) in
   let tr = t.transfer in
-  let h = F.float F.seed tr.t_ss in
-  let h = F.float h tr.t_ps in
-  let h = F.float h tr.t_sr in
-  let h = F.float h tr.t_pr in
-  let h = F.float h tr.t_n in
-  List.fold_left
-    (fun h k ->
+  List.iter float [ tr.t_ss; tr.t_ps; tr.t_sr; tr.t_pr; tr.t_n ];
+  let kernels = known_kernels t in
+  Buffer.add_int64_le b (Int64.of_int (List.length kernels));
+  List.iter
+    (fun k ->
       let { alpha; tau } = Hashtbl.find t.table k in
-      F.float (F.float (Mdg.Graph.hash_kernel h k) alpha) tau)
-    h (known_kernels t)
+      Mdg.Graph.add_kernel_key b k;
+      float alpha;
+      float tau)
+    kernels
 
 (* Table 2 of the paper: microsecond/nanosecond constants converted to
    seconds. *)

@@ -39,11 +39,11 @@ val processing : t -> Mdg.Graph.kernel -> processing
 val known_kernels : t -> Mdg.Graph.kernel list
 (** Registered matrix kernels, deterministically ordered. *)
 
-val fingerprint : t -> int64
-(** Deterministic 64-bit digest of every cost constant: the transfer
+val add_key : Buffer.t -> t -> unit
+(** Append the exact bit patterns of every cost constant: the transfer
     parameters and the registered per-kernel Amdahl pairs (in
-    {!known_kernels} order).  Equal fingerprints yield identical cost
-    expressions on the same graph, so the fingerprint is the
+    {!known_kernels} order), in a prefix-free encoding.  Equal keys
+    yield identical cost expressions on the same graph, so this is the
     cost-constant component of plan-cache keys.  Stable across
     processes. *)
 

@@ -200,6 +200,48 @@ let structural_hash g =
       F.byte h (match e.kind with Oned -> 1 | Twod -> 2))
     h g.edges
 
+(* The exact form of the data [structural_hash] folds.  Counts, ids and
+   matrix sizes are unsigned LEB128 varints, floats their 8-byte bit
+   patterns, and every variable-length part is preceded by its count,
+   so the encoding is prefix-free: equal bytes mean equal structures,
+   and appending more fields after a graph stays unambiguous. *)
+let rec add_uint b n =
+  if n land lnot 0x7f = 0 then Buffer.add_uint8 b n
+  else (
+    Buffer.add_uint8 b (0x80 lor (n land 0x7f));
+    add_uint b (n lsr 7))
+
+let add_float b x = Buffer.add_int64_le b (Int64.bits_of_float x)
+
+let add_kernel_key b (k : kernel) =
+  match k with
+  | Matrix_init n ->
+      Buffer.add_uint8 b 1;
+      add_uint b n
+  | Matrix_add n ->
+      Buffer.add_uint8 b 2;
+      add_uint b n
+  | Matrix_multiply n ->
+      Buffer.add_uint8 b 3;
+      add_uint b n
+  | Synthetic { alpha; tau } ->
+      Buffer.add_uint8 b 4;
+      add_float b alpha;
+      add_float b tau
+  | Dummy -> Buffer.add_uint8 b 5
+
+let add_key b g =
+  add_uint b (num_nodes g);
+  Array.iter (fun nd -> add_kernel_key b nd.kernel) g.nodes;
+  add_uint b (List.length g.edges);
+  List.iter
+    (fun e ->
+      add_uint b e.src;
+      add_uint b e.dst;
+      add_float b e.bytes;
+      Buffer.add_uint8 b (match e.kind with Oned -> 1 | Twod -> 2))
+    g.edges
+
 let kernel_flops = function
   | Matrix_init n -> float_of_int (n * n)
   | Matrix_add n -> float_of_int (n * n)

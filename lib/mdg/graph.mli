@@ -111,13 +111,23 @@ val structural_hash : t -> int64
 (** A deterministic 64-bit FNV-1a digest of the graph's structure:
     node count, per-node kernels in id order, and every edge's
     endpoints, byte count and transfer kind.  Node {e labels are
-    excluded} — they never affect cost — so two requests for the same
-    computation under different names share plan-cache entries.
-    Stable across processes and runs. *)
+    excluded}.  Stable across processes and runs.  A digest can
+    collide, so it identifies a shape only where a collision is
+    harmless (drawing distinct workloads); cache keys use {!add_key}. *)
 
-val hash_kernel : int64 -> kernel -> int64
-(** Fold one kernel into an FNV-1a state (see {!Numeric.Fnv}); exposed
-    so cost-model fingerprints hash kernels the same way. *)
+val add_key : Buffer.t -> t -> unit
+(** Append the graph's exact key: the data {!structural_hash} digests
+    (node count, per-node kernels in id order, every edge's endpoints,
+    byte-count bit pattern and transfer kind), in a prefix-free
+    encoding.  Two graphs append equal bytes exactly when those data
+    are equal, so equal keys mean identical cost expressions.  Node
+    labels are excluded — they never affect cost — so two requests
+    for the same computation under different names share plan-cache
+    entries. *)
+
+val add_kernel_key : Buffer.t -> kernel -> unit
+(** Append one kernel's tag and payload, as {!add_key} writes it;
+    exposed so cost-model keys encode kernels the same way. *)
 
 (** {1 Kernel helpers} *)
 

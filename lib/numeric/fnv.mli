@@ -1,14 +1,16 @@
-(** 64-bit FNV-1a hashing, used for structural fingerprints.
+(** 64-bit FNV-1a hashing, used for {!Mdg.Graph.structural_hash}.
 
     A tiny incremental hasher: fold values into a running [t] and read
     the digest out as an [int64] (or hex string).  Deterministic across
-    runs and platforms — fingerprints computed by one process are
+    runs and platforms — digests computed by one process are
     meaningful to another, unlike [Hashtbl.hash] of boxed floats.
 
-    Collisions are possible in principle (64-bit digests) but
-    vanishingly unlikely at the cache sizes involved; the plan-cache
-    property suite pins the absence of collisions across 10k random
-    MDGs. *)
+    Collisions are rare among random inputs (the plan-cache property
+    suite finds none across 10k random MDGs) but can be crafted: a
+    birthday search of about 4e9 evaluations finds two inputs with
+    one digest.  So a digest may pick a bucket or draw distinct
+    workloads, but it never identifies a request: the plan cache
+    compares exact key bytes. *)
 
 type t = int64
 

@@ -3,8 +3,8 @@
     One connection, one outstanding request at a time: each call
     writes a request line and blocks until the reply line arrives.
     The typed helpers stamp sequential integer ids.  For concurrent
-    load, open several clients (the bench's load generator runs one
-    per client domain). *)
+    load, open several clients, one per domain (the server tests'
+    concurrent and coalescing cases do). *)
 
 type t
 

@@ -20,7 +20,7 @@ let synth_params () =
   Costmodel.Params.make ~transfer:Costmodel.Params.cm5_transfer
 
 (* Same-machine re-calibration: scale the per-byte transfer costs,
-   keep the processing table.  Distinct scale => distinct fingerprint,
+   keep the processing table.  Distinct scale => distinct cache key,
    so the cached-plan path misses on a shape it holds under other
    constants. *)
 let perturbed ~scale params =
@@ -35,6 +35,33 @@ let perturbed ~scale params =
         (Costmodel.Params.processing params kernel))
     (Costmodel.Params.known_kernels params);
   p
+
+(* A plan-cache key for tests that drive Core.Plan_cache directly: the
+   key of a one-node synthetic graph whose tau is [h], so distinct [h]
+   give distinct keys. *)
+let cache_key ~procs h =
+  let b = G.create_builder () in
+  ignore
+    (G.add_node b ~label:"k"
+       ~kernel:(G.Synthetic { alpha = 0.1; tau = float_of_int h }));
+  Core.Plan_cache.key (synth_params ()) (G.build b) ~procs
+
+(* Two 2-node MDGs that differ only in node 0's kernel, found by a
+   birthday search over synthetic (alpha, tau) bit patterns so that
+   both have structural_hash 8c8a7e66c5f51479, before and after
+   normalisation.  At p = 16 under Params.cm5 their cold Phis are
+   0.04411832 and 0.04583894: a cache keyed on that digest would serve
+   the second the first's plan. *)
+let colliding_pair () =
+  let mdg kernel =
+    Mdg.Serialize.of_string
+      (Printf.sprintf
+         "mdg\nnode 0 %s \"a\"\nnode 1 synthetic:0.2:0.01 \"b\"\n\
+          edge 0 1 4096 1d"
+         kernel)
+  in
+  ( mdg "synthetic:0.39215087890625:0.093321375912902127",
+    mdg "synthetic:0.41717529296875:0.092288018506028774" )
 
 (* ------------------------------------------------------------------ *)
 (* QCheck count scaling (`make test-long`)                             *)

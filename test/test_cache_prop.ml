@@ -4,8 +4,11 @@
      uncached plan of the same request, bit for bit, whatever the
      cache solved before, and the cache answers exactly the repeats of
      an earlier key;
-   - key soundness: structurally distinct random MDGs never collide on
-     [Mdg.Graph.structural_hash];
+   - key soundness: two crafted MDGs that share a structural hash are
+     each served their own plan, planned in turn or at once, because
+     keys are exact bytes; structurally distinct random MDGs never
+     collide on [Mdg.Graph.structural_hash], which planbench uses to
+     draw distinct shapes;
    - the result table's bound, and the [Core.Lru] recency/eviction
      contract behind it.
 
@@ -88,11 +91,7 @@ let prop_cached_plan_is_cold_plan =
           in
           let req = P.request params g ~procs in
           let served = plan_phi ~config req and cold = plan_phi req in
-          let key =
-            ( G.structural_hash (G.normalise g),
-              Costmodel.Params.fingerprint params,
-              procs )
-          in
+          let key = Core.Plan_cache.key params (G.normalise g) ~procs in
           let repeat = Hashtbl.mem seen key in
           Hashtbl.replace seen key ();
           if (served.cache.warm = P.Hit) <> repeat then
@@ -183,9 +182,7 @@ let test_exact_table_bounded () =
   let cache = Core.Plan_cache.create () in
   let r = fake_result 3 0.5 in
   let capacity = Core.Plan_cache.capacity in
-  let key h =
-    { Core.Plan_cache.graph_hash = Int64.of_int h; fingerprint = 0L; procs = 8 }
-  in
+  let key h = Generators.cache_key ~procs:8 h in
   for h = 0 to capacity do
     Core.Plan_cache.store_warm cache (key h) r
   done;
@@ -195,6 +192,52 @@ let test_exact_table_bounded () =
     (Option.is_none (Core.Plan_cache.warm cache (key 0)));
   Alcotest.(check bool) "last-stored key hits" true
     (Option.is_some (Core.Plan_cache.warm cache (key capacity)))
+
+(* A crafted pair of graphs that share a structural hash (see
+   Generators.colliding_pair) must each be served their own plan:
+   Phi and allocation bit-identical to their uncached plans. *)
+let check_own_plan what params g (served : P.plan) =
+  let cold = P.plan_exn params g ~procs:16 in
+  let bits = Array.map Int64.bits_of_float in
+  Alcotest.(check int64) (what ^ ": Phi bits of its uncached plan")
+    (Int64.bits_of_float (P.phi cold))
+    (Int64.bits_of_float (P.phi served));
+  Alcotest.(check (array int64))
+    (what ^ ": allocation bits of its uncached plan")
+    (bits cold.allocation.alloc) (bits served.allocation.alloc)
+
+let test_colliding_hashes_sequential () =
+  let a, b = Generators.colliding_pair () in
+  Alcotest.(check int64) "the pair shares a structural hash"
+    (G.structural_hash (G.normalise a))
+    (G.structural_hash (G.normalise b));
+  let params = Costmodel.Params.cm5 () in
+  let config = P.(default_config |> with_cache (Core.Plan_cache.create ())) in
+  ignore (P.plan_exn ~config params a ~procs:16 : P.plan);
+  let served = P.plan_exn ~config params b ~procs:16 in
+  Alcotest.(check bool) "the second graph misses" true
+    (served.cache.warm = P.Miss);
+  check_own_plan "second graph" params b served
+
+(* The pair planned at once from two domains: whether the second finds
+   the first's solve in flight or its stored entry, each must get its
+   own plan. *)
+let test_colliding_hashes_concurrent () =
+  let a, b = Generators.colliding_pair () in
+  let params = Costmodel.Params.cm5 () in
+  let config = P.(default_config |> with_cache (Core.Plan_cache.create ())) in
+  let arrived = Atomic.make 0 in
+  let plan g =
+    Domain.spawn (fun () ->
+        Atomic.incr arrived;
+        while Atomic.get arrived < 2 do Domain.cpu_relax () done;
+        P.plan_exn ~config params g ~procs:16)
+  in
+  let served = List.map Domain.join (List.map plan [ a; b ]) in
+  List.iter2
+    (fun (what, g) p -> check_own_plan what params g p)
+    [ ("first graph", a); ("second graph", b) ]
+    served
 
 let signature = Generators.signature
 
@@ -229,6 +272,10 @@ let suite =
     Alcotest.test_case "LRU eviction order" `Quick test_lru_eviction_order;
     Alcotest.test_case "exact table bounded at capacity" `Quick
       test_exact_table_bounded;
+    Alcotest.test_case "colliding structural hashes, sequential: own plans"
+      `Quick test_colliding_hashes_sequential;
+    Alcotest.test_case "colliding structural hashes, concurrent: own plans"
+      `Quick test_colliding_hashes_concurrent;
     Alcotest.test_case "no structural_hash collisions (10k graphs)" `Slow
       test_no_hash_collisions;
   ]

@@ -34,8 +34,7 @@ let fake_result n value =
       };
   }
 
-let key ?(h = 42) ?(procs = 16) () =
-  { PC.graph_hash = Int64.of_int h; fingerprint = 0L; procs }
+let key () = Generators.cache_key ~procs:16 42
 
 (* Leader-side rendezvous: hold the solve open until [k - 1] followers
    are blocked on the flight, so the coalescing below is deterministic

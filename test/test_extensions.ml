@@ -1,5 +1,5 @@
-(* Tests for the extension modules: MDG/schedule serialisation, static
-   cost estimation and heuristic allocation baselines. *)
+(* Tests for the extension modules: MDG serialisation, static cost
+   estimation and heuristic allocation baselines. *)
 
 module G = Mdg.Graph
 module P = Costmodel.Params
@@ -75,53 +75,6 @@ let prop_serialize_roundtrip_random =
         Kernels.Workloads.random_layered ~seed Kernels.Workloads.default_shape
       in
       graphs_equal g (Mdg.Serialize.of_string (Mdg.Serialize.to_string g)))
-
-(* ------------------------------------------------------------------ *)
-(* Core.Schedule_io                                                    *)
-(* ------------------------------------------------------------------ *)
-
-let schedules_equal s1 s2 =
-  Core.Schedule.machine_procs s1 = Core.Schedule.machine_procs s2
-  && List.equal
-       (fun (a : Core.Schedule.entry) (b : Core.Schedule.entry) ->
-         a.node = b.node && a.start = b.start && a.finish = b.finish
-         && a.procs = b.procs)
-       (Core.Schedule.entries s1) (Core.Schedule.entries s2)
-
-let test_schedule_io_roundtrip () =
-  let g = fst (Kernels.Complex_mm.graph ~n:64 ()) in
-  let params = P.cm5 () in
-  Costmodel.Params.set_processing params (G.Matrix_init 64)
-    { alpha = 0.05; tau = 1.6e-3 };
-  let plan = Core.Pipeline.plan_exn params g ~procs:8 in
-  let s = Core.Pipeline.schedule plan in
-  let s' = Core.Schedule_io.of_string (Core.Schedule_io.to_string s) in
-  Alcotest.(check bool) "roundtrip" true (schedules_equal s s')
-
-let test_schedule_io_errors () =
-  let fails text =
-    try
-      ignore (Core.Schedule_io.of_string text);
-      false
-    with Core.Schedule_io.Parse_error _ -> true
-  in
-  Alcotest.(check bool) "no header" true (fails "entry 0 0 1 0\n");
-  Alcotest.(check bool) "bad procs" true (fails "schedule zero\n");
-  Alcotest.(check bool) "garbage" true (fails "schedule 4\nentry x\n")
-
-let test_schedule_io_file () =
-  let s =
-    Core.Schedule.make ~machine_procs:4
-      [
-        { Core.Schedule.node = 0; procs = [| 0; 2 |]; start = 0.0; finish = 0.5 };
-        { Core.Schedule.node = 1; procs = [| 1 |]; start = 0.25; finish = 1.0 };
-      ]
-  in
-  let path = Filename.temp_file "sched" ".txt" in
-  Core.Schedule_io.save path s;
-  let s' = Core.Schedule_io.load path in
-  Sys.remove path;
-  Alcotest.(check bool) "file roundtrip" true (schedules_equal s s')
 
 (* ------------------------------------------------------------------ *)
 (* Static_estimate                                                     *)
@@ -265,9 +218,6 @@ let suite =
     Alcotest.test_case "serialize: file IO" `Quick test_serialize_file_io;
     Alcotest.test_case "serialize: parse errors" `Quick test_serialize_errors;
     QCheck_alcotest.to_alcotest prop_serialize_roundtrip_random;
-    Alcotest.test_case "schedule_io: roundtrip" `Quick test_schedule_io_roundtrip;
-    Alcotest.test_case "schedule_io: parse errors" `Quick test_schedule_io_errors;
-    Alcotest.test_case "schedule_io: file IO" `Quick test_schedule_io_file;
     Alcotest.test_case "static: Table-1 ballpark" `Quick
       test_static_estimates_reasonable;
     Alcotest.test_case "static: scaling with size" `Quick

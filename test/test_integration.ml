@@ -83,18 +83,6 @@ let prop_all_messages_delivered =
       let sim = Machine.Sim.run gt_ideal prog in
       sim.messages_delivered = List.length (Machine.Program.sends prog))
 
-(* Saving and reloading a schedule does not change what the machine
-   executes. *)
-let test_schedule_io_preserves_execution () =
-  let g, _ = Kernels.Complex_mm.graph ~n:64 () in
-  let params = calibrated (Kernels.Complex_mm.kernels ~n:64) in
-  let plan = Core.Pipeline.plan_exn params g ~procs:16 in
-  let sched = Core.Pipeline.schedule plan in
-  let sched' = Core.Schedule_io.of_string (Core.Schedule_io.to_string sched) in
-  let t1 = (Machine.Sim.run gt_cm5 (Core.Codegen.mpmd gt_cm5 plan.graph sched)).finish_time in
-  let t2 = (Machine.Sim.run gt_cm5 (Core.Codegen.mpmd gt_cm5 plan.graph sched')).finish_time in
-  Alcotest.(check (float 1e-12)) "identical execution" t1 t2
-
 (* Paper-shape regression: the headline comparative results hold. *)
 let test_paper_shape_regressions () =
   let params =
@@ -203,8 +191,6 @@ let suite =
       test_frontend_equals_handbuilt_complex_mm;
     QCheck_alcotest.to_alcotest prop_sim_bounded_by_prediction_ideal;
     QCheck_alcotest.to_alcotest prop_all_messages_delivered;
-    Alcotest.test_case "schedule IO preserves execution" `Slow
-      test_schedule_io_preserves_execution;
     Alcotest.test_case "paper-shape regressions" `Slow test_paper_shape_regressions;
     Alcotest.test_case "theorem 3 on paper workloads" `Slow
       test_theorem3_on_paper_workloads;

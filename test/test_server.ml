@@ -226,10 +226,13 @@ let test_protocol_roundtrip () =
         (Mdg.Serialize.to_string g)
         (Mdg.Serialize.to_string req.graph);
       let sent = Option.get req.params in
-      Alcotest.(check int64)
-        "params fingerprint survives the wire"
-        (Costmodel.Params.fingerprint params)
-        (Costmodel.Params.fingerprint sent)
+      let key p =
+        let b = Buffer.create 128 in
+        Costmodel.Params.add_key b p;
+        Buffer.contents b
+      in
+      Alcotest.(check string)
+        "params key survives the wire" (key params) (key sent)
   | Ok _ -> Alcotest.fail "decoded wrong request kind"
 
 (* A plan request whose [t_ss] transfer constant is the JSON text
@@ -453,7 +456,7 @@ let test_server_cache_over_wire () =
         (List.exists
            (fun (l : Protocol.op_latency) -> l.op = "plan" && total l.buckets >= 2)
            srv.latency));
-  (* Same shape, perturbed constants: a new fingerprint misses and is
+  (* Same shape, perturbed constants: a new key misses and is
      solved cold, exactly as the uncached pipeline plans it. *)
   let params = Costmodel.Params.cm5 () in
   let tf = Costmodel.Params.transfer params in
@@ -474,6 +477,77 @@ let test_server_cache_over_wire () =
     (bits cold.allocation.alloc) (bits third.alloc);
   Alcotest.(check (array int)) "perturbed constants: rounded allocation"
     cold.psa.rounded_alloc third.rounded_alloc
+
+(* The crafted pair of Generators.colliding_pair over the wire: the
+   second graph shares the first's structural hash, yet it must be a
+   miss, solved cold, not the first graph's plan. *)
+let test_server_colliding_hashes () =
+  with_server @@ fun srv ->
+  with_client srv @@ fun c ->
+  let a, b = Generators.colliding_pair () in
+  ignore (get (Client.plan c a ~procs:16) : Protocol.plan_summary);
+  let served = get (Client.plan c b ~procs:16) in
+  Alcotest.(check string) "second graph: miss" "miss" served.warm_cache;
+  let cold = Core.Pipeline.plan_exn (Costmodel.Params.cm5 ()) b ~procs:16 in
+  Alcotest.(check int64) "second graph: Phi bits of its cold plan"
+    (Int64.bits_of_float (Core.Pipeline.phi cold))
+    (Int64.bits_of_float served.phi)
+
+(* Concurrent identical misses coalesce over the wire: four clients,
+   one per worker, send the same uncached request, the leader first
+   and the other three once its solve is in flight.  The cache admits
+   one leader per key, and a follower that arrives after the leader
+   published is served from the stored entry, so every assertion but
+   the last holds whatever the timing.  The solve takes about 0.1 s
+   (519 nodes at p = 64), so a follower joins the flight. *)
+let test_server_coalesce_over_wire () =
+  let options = { Srv.default_options with workers = 4 } in
+  with_server ~options @@ fun srv ->
+  let clients = List.init 4 (fun _ -> Client.connect ~port:(Srv.port srv) ()) in
+  Fun.protect ~finally:(fun () -> List.iter Client.close clients) @@ fun () ->
+  (* A ping pins each connection to its own worker. *)
+  List.iter (fun c -> get (Client.ping c)) clients;
+  let g =
+    Workgen.generate
+      (Workgen.spec_of_string_exn "depth=5,branch=3,cutoff=0.2")
+      ~seed:1994
+  in
+  let line =
+    Json.to_string (Protocol.encode_plan_request ~id:(Json.int 1) g ~procs:64)
+  in
+  let leader = List.hd clients and followers = List.tl clients in
+  Client.send_line leader line;
+  let deadline = Unix.gettimeofday () +. 10.0 in
+  while
+    (Srv.stats srv).coalesce_leaders < 1 && Unix.gettimeofday () < deadline
+  do
+    Unix.sleepf 0.001
+  done;
+  List.iter (fun c -> Client.send_line c line) followers;
+  let replies =
+    List.map
+      (fun c ->
+        match Protocol.decode_reply (get (Client.recv_line c)) with
+        | Ok (_, Protocol.Plan_reply s) -> s
+        | Ok _ -> Alcotest.fail "expected a plan reply"
+        | Error msg -> Alcotest.failf "unparseable reply: %s" msg)
+      clients
+  in
+  let stats = Srv.stats srv in
+  Alcotest.(check int) "exactly one solve" 1 stats.coalesce_leaders;
+  let skipped (s : Protocol.plan_summary) = s.solve_skipped in
+  Alcotest.(check int) "three replies skip the solve" 3
+    (List.length (List.filter skipped replies));
+  let bits (s : Protocol.plan_summary) =
+    (Int64.bits_of_float s.phi, Array.map Int64.bits_of_float s.alloc)
+  in
+  List.iter
+    (fun s ->
+      Alcotest.(check bool) "Phi and allocation bits of the leader's plan" true
+        (bits s = bits (List.hd replies)))
+    replies;
+  Alcotest.(check bool) "a follower joined the flight" true
+    (stats.coalesce_hits >= 1)
 
 let test_server_concurrent_clients () =
   let domains = 4 and per_client = 6 in
@@ -657,6 +731,10 @@ let suite =
       test_server_typed_errors;
     Alcotest.test_case "server: caches visible over the wire" `Quick
       test_server_cache_over_wire;
+    Alcotest.test_case "server: colliding structural hashes, own plans"
+      `Quick test_server_colliding_hashes;
+    Alcotest.test_case "server: concurrent identical misses coalesce" `Quick
+      test_server_coalesce_over_wire;
     Alcotest.test_case "server: concurrent clients" `Quick
       test_server_concurrent_clients;
     Alcotest.test_case "server: over capacity sheds typed" `Quick
