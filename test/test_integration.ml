@@ -192,8 +192,9 @@ let suite =
     QCheck_alcotest.to_alcotest prop_sim_bounded_by_prediction_ideal;
     QCheck_alcotest.to_alcotest prop_all_messages_delivered;
     Alcotest.test_case "paper-shape regressions" `Slow test_paper_shape_regressions;
+    (* Alcotest reports each case by its index: keep "theorem 3" at 5. *)
+    Alcotest.test_case "busy-time conservation" `Slow test_busy_time_conservation;
     Alcotest.test_case "theorem 3 on paper workloads" `Slow
       test_theorem3_on_paper_workloads;
-    Alcotest.test_case "busy-time conservation" `Slow test_busy_time_conservation;
     Alcotest.test_case "Phi monotone in machine size" `Slow test_phi_monotone_in_p;
   ]
