@@ -53,6 +53,13 @@ let micro_tests () =
        let grad = Array.make (Array.length x) 0.0 in
        Staged.stage (fun () ->
            ignore (Convex.Tape.eval_grad ~mu:1e-4 tape ws ~x ~grad)));
+    (* The Armijo trial sweep: the solver's most frequent call. *)
+    Test.make ~name:"objective: tape eval (mu > 0) on strassen expr"
+      (let obj = Core.Allocation.objective params st_graph ~procs:64 in
+       let tape = Convex.Tape.compile obj in
+       let ws = Convex.Tape.create_workspace tape in
+       let x = Array.map log st_alloc in
+       Staged.stage (fun () -> ignore (Convex.Tape.eval ~mu:1e-4 tape ws x)));
     Test.make ~name:"objective: tape compile (strassen)"
       (let obj = Core.Allocation.objective params st_graph ~procs:64 in
        Staged.stage (fun () -> ignore (Convex.Tape.compile obj)));
@@ -81,13 +88,21 @@ let run_micro () =
         ols)
     (micro_tests ())
 
+let usage () =
+  prerr_endline
+    "usage: main.exe \
+     [fig1|tab1|fig3|tab2|fig5|fig6|fig7|fig8|fig9|tab3|ablate|sweep|static|heuristics|topology|scale|scale-quick|expand|micro]\n\
+     \       main.exe scale [<levels>|strassen:<levels>|random:<spec>:<seed>]...";
+  exit 2
+
 let () =
   match Sys.argv with
   | [| _ |] ->
       Experiments.all ();
       run_micro ()
   | [| _; "micro" |] -> run_micro ()
-  | [| _; name |] -> (Experiments.by_name name) ()
+  | [| _; name |] -> (
+      match Experiments.by_name name with Some run -> run () | None -> usage ())
   | argv when Array.length argv > 2 && argv.(1) = "scale" ->
       (* Ad-hoc scaling rows, e.g.
            main.exe -- scale 3 random:depth=4,branch=3:17
@@ -95,9 +110,4 @@ let () =
          grammar is Workgen.spec_of_string's). *)
       Experiments.scale_custom
         (Array.to_list (Array.sub argv 2 (Array.length argv - 2)))
-  | _ ->
-      prerr_endline
-        "usage: main.exe \
-         [fig1|tab1|fig3|tab2|fig5|fig6|fig7|fig8|fig9|tab3|ablate|sweep|static|heuristics|topology|scale|scale-quick|expand|micro]\n\
-         \       main.exe scale [<levels>|strassen:<levels>|random:<spec>:<seed>]...";
-      exit 2
+  | _ -> usage ()

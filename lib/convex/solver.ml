@@ -31,6 +31,26 @@ let default_options =
     precondition = true;
   }
 
+(* The record pattern is exhaustive, so a new option cannot be left
+   out of the key without a compile error. *)
+let add_key b
+    {
+      tol;
+      mu_init;
+      mu_final;
+      mu_decay;
+      armijo_c;
+      armijo_shrink;
+      newton_max_iters;
+      cg_max_iters;
+      precondition;
+    } =
+  let float x = Buffer.add_int64_le b (Int64.bits_of_float x) in
+  List.iter float [ tol; mu_init; mu_final; mu_decay; armijo_c; armijo_shrink ];
+  Buffer.add_int64_le b (Int64.of_int newton_max_iters);
+  Buffer.add_int64_le b (Int64.of_int cg_max_iters);
+  Buffer.add_char b (if precondition then '\001' else '\000')
+
 type result = {
   x : Vec.t;
   value : float;
@@ -54,6 +74,7 @@ let compile_tape ?(obs = Obs.null) build =
       [
         ("slots", float_of_int (Tape.num_slots tape));
         ("term_entries", float_of_int (Tape.num_term_entries tape));
+        ("monomials", float_of_int (Tape.num_monomials tape));
         ("children", float_of_int (Tape.num_children tape));
         ("vars", float_of_int (Tape.n_vars tape));
       ];

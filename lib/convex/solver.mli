@@ -101,6 +101,12 @@ type options = {
 
 val default_options : options
 
+val add_key : Buffer.t -> options -> unit
+(** Append the exact bits of every option to a cache key, as
+    {!Costmodel.Params.add_key} does for the cost constants: two option
+    records append the same bytes exactly when every field is equal,
+    floats bit for bit. *)
+
 val grid_steps : int
 (** Length of the Armijo step grid: indices k = 0 … [grid_steps]−1
     stand for the steps α_k = [armijo_shrink]^k (40 indices). *)
@@ -143,8 +149,10 @@ val compile_tape : ?obs:Obs.t -> (unit -> Tape.t) -> compiled
     [Core.Allocation.objective_tape]) and pairs the tape with a fresh
     workspace.  With a live [obs] sink the build is wrapped in a
     ["solver.compile"] span and emits a ["solver.tape"] counter
-    sampling the tape's sizes ([slots], [term_entries], [children],
-    [vars]). *)
+    sampling the tape's sizes ([slots], [term_entries], [monomials],
+    [children], [vars]).  [term_entries] counts pooled entries: each
+    distinct monomial's once ({!Tape.num_term_entries}), so
+    [monomials] against the term slots is the sharing ratio. *)
 
 val compile : ?obs:Obs.t -> Expr.t -> compiled
 (** [compile_tape] over {!Tape.compile}: compile an objective DAG to a

@@ -3,7 +3,8 @@ module Vec = Numeric.Vec
 (* Opcodes.  Each slot k reads:
      op_const : value c.(k)
      op_term  : coeff c.(k), exponent segment [lo.(k), hi.(k)) of
-                term_var/term_expt
+                term_var/term_expt (a distinct monomial's segment,
+                shared by every term slot with the same exponents)
      op_sum   : constant bias c.(k), child segment [lo.(k), hi.(k)) of child
      op_max   : child segment [lo.(k), hi.(k)) of child
      op_scale : factor c.(k), single child slot lo.(k)
@@ -27,6 +28,10 @@ type t = {
   c : float array;
   term_var : int array;
   term_expt : float array;
+  (* Segment starts of the distinct monomials, ascending: monomial m
+     is [mono.(m), mono.(m+1)), and the last cell is the entry count.
+     Term segments are these segments and nothing else. *)
+  mono : int array;
   child : int array;
 }
 
@@ -35,6 +40,7 @@ type workspace = {
   adj : float array;  (* per-slot adjoints *)
   w : float array;  (* softmax weights, parallel to [child] *)
   s : float array;  (* scalar scratch (softmax normaliser) *)
+  mv : float array;  (* exp of each monomial, at its segment start *)
   vd : float array;  (* per-slot value tangents (HVP forward sweep) *)
   adjd : float array;  (* per-slot adjoint tangents (HVP reverse sweep) *)
   wd : float array;  (* softmax weight tangents, parallel to [child] *)
@@ -77,6 +83,13 @@ module Builder = struct
        values share one slot (the objective has thousands of identical
        latency constants as max branches). *)
     consts : (float, int) Hashtbl.t;
+    (* The distinct monomials pushed so far: monomial m is the entry
+       segment [mono.(m), mono.(m+1)), and mono.(nmono) is their end. *)
+    mutable mono : int array;
+    mutable nmono : int;
+    (* Open-addressing set of the monomials, by segment contents: a
+       cell holds a monomial index + 1, 0 = empty. *)
+    mutable pool : int array;
   }
 
   let create () =
@@ -94,6 +107,9 @@ module Builder = struct
       nchildren = 0;
       max_var = -1;
       consts = Hashtbl.create 64;
+      mono = Array.make cap 0;
+      nmono = 0;
+      pool = Array.make cap 0;
     }
 
   let grow a zero =
@@ -140,18 +156,90 @@ module Builder = struct
         Hashtbl.add b.consts v s;
         s
 
+  (* Monomial pool.  Under x_i = ln p_i every cost term is c·exp(a·x)
+     with one of a handful of exponent vectors per node and edge, so a
+     tape holds far fewer distinct monomials than term slots.  Each
+     distinct segment is stored once and its exp computed once per
+     sweep; a term slot whose segment (variables and exponent bits, in
+     stored order) was pushed before points at the first occurrence.
+     The sum is taken in the same order either way, so sharing is
+     invisible in every result. *)
+  let seg_hash b l h =
+    let acc = ref (h - l) in
+    for j = l to h - 1 do
+      (* Sign and exponent folded onto the mantissa's low bits, which
+         are zero for exponents like ±1 and ±0.5. *)
+      let e = Int64.bits_of_float b.term_expt.(j) in
+      let e = Int64.to_int e lxor Int64.to_int (Int64.shift_right_logical e 52) in
+      acc := (((!acc * 31) + b.term_var.(j)) * 31) + e
+    done;
+    (!acc * 0x9E3779B1) land max_int
+
+  (* Segment [l, h) has monomial m's variables and exponent bits. *)
+  let same_seg b l h m =
+    let l' = b.mono.(m) in
+    b.mono.(m + 1) - l' = h - l
+    &&
+    let same = ref true and j = ref 0 in
+    while !same && l + !j < h do
+      if
+        b.term_var.(l + !j) <> b.term_var.(l' + !j)
+        || Int64.bits_of_float b.term_expt.(l + !j)
+           <> Int64.bits_of_float b.term_expt.(l' + !j)
+      then same := false;
+      incr j
+    done;
+    !same
+
+  (* Pool cell of the monomial equal to segment [l, h), or the free
+     cell where it goes. *)
+  let pool_probe b l h =
+    let mask = Array.length b.pool - 1 in
+    let i = ref (seg_hash b l h land mask) in
+    while b.pool.(!i) <> 0 && not (same_seg b l h (b.pool.(!i) - 1)) do
+      i := (!i + 1) land mask
+    done;
+    !i
+
+  (* Make the segment ending at [h], just pushed, the next monomial, in
+     free pool cell [i]. *)
+  let add_mono b i h =
+    b.pool.(i) <- b.nmono + 1;
+    if b.nmono + 2 > Array.length b.mono then b.mono <- grow b.mono 0;
+    b.mono.(b.nmono + 1) <- h;
+    b.nmono <- b.nmono + 1;
+    if 2 * b.nmono >= Array.length b.pool then begin
+      b.pool <- Array.make (2 * Array.length b.pool) 0;
+      for m = 0 to b.nmono - 1 do
+        b.pool.(pool_probe b b.mono.(m) b.mono.(m + 1)) <- m + 1
+      done
+    end
+
   (* Exponent entries are stored in reverse, and sum children in
      reverse construction order.  The sweeps accumulate in segment
      order and float addition is not associative, so this layout is
      part of every tape's bit-level results. *)
   let term b coeff expts =
-    let l = b.nentries in
-    for j = Array.length expts - 1 downto 0 do
-      let i, a = expts.(j) in
-      if i > b.max_var then b.max_var <- i;
-      push_entry b i a
-    done;
-    slot b op_term l b.nentries coeff
+    if Array.length expts = 0 then const b coeff
+    else begin
+      let l = b.nentries in
+      for j = Array.length expts - 1 downto 0 do
+        let i, a = expts.(j) in
+        if i > b.max_var then b.max_var <- i;
+        push_entry b i a
+      done;
+      let h = b.nentries in
+      let i = pool_probe b l h in
+      if b.pool.(i) = 0 then begin
+        add_mono b i h;
+        slot b op_term l h coeff
+      end
+      else begin
+        let m = b.pool.(i) - 1 in
+        b.nentries <- l;
+        slot b op_term b.mono.(m) b.mono.(m + 1) coeff
+      end
+    end
 
   let sum b bias kids =
     match kids with
@@ -178,6 +266,7 @@ module Builder = struct
       c = Array.sub b.c 0 b.nslots;
       term_var = Array.sub b.term_var 0 b.nentries;
       term_expt = Array.sub b.term_expt 0 b.nentries;
+      mono = Array.sub b.mono 0 (b.nmono + 1);
       child = Array.sub b.child 0 b.nchildren;
     }
 end
@@ -410,6 +499,7 @@ let equal a b =
   in
   a.n_vars = b.n_vars && a.root = b.root && a.op = b.op && a.lo = b.lo
   && a.hi = b.hi && a.child = b.child && a.term_var = b.term_var
+  && a.mono = b.mono
   && same_bits a.c b.c
   && same_bits a.term_expt b.term_expt
 
@@ -418,6 +508,8 @@ let n_vars t = t.n_vars
 let num_slots t = Array.length t.op
 
 let num_term_entries t = Array.length t.term_var
+
+let num_monomials t = Array.length t.mono - 1
 
 let num_children t = Array.length t.child
 
@@ -428,6 +520,7 @@ let create_workspace t =
     adj = Array.make n 0.0;
     w = Array.make (Int.max 1 (num_children t)) 0.0;
     s = Array.make 1 0.0;
+    mv = Array.make (Int.max 1 (num_term_entries t)) 0.0;
     vd = Array.make n 0.0;
     adjd = Array.make n 0.0;
     wd = Array.make (Int.max 1 (num_children t)) 0.0;
@@ -470,24 +563,50 @@ let rev_sel t ws p =
   else if ws.v.(p) = neg_infinity && t.hi.(p) > t.lo.(p) then t.lo.(p)
   else min_int
 
+(* The pre-pass of every forward sweep: [ws.mv.(l)] <- exp (Σ e·x)
+   over each distinct monomial's segment [l, h), summed in stored
+   order, so a term slot's value is [c.(k) *. mv.(lo.(k))] — the
+   float operations the slot performed on its own segment. *)
+let monomial_exps t ws x =
+  let mv = ws.mv and mono = t.mono in
+  let tv = t.term_var and te = t.term_expt in
+  for m = 0 to Array.length mono - 2 do
+    let acc = ref 0.0 in
+    for j = mono.%(m) to mono.%(m + 1) - 1 do
+      acc := !acc +. (te.%(j) *. x.%(tv.%(j)))
+    done;
+    mv.%(mono.%(m)) <- exp !acc
+  done
+
+(* A branch's term exp ((v_j − m)/mu) of the log-sum-exp at shift [m],
+   skipping the calls whose result is exact: the top branch gives
+   exp 0 = 1, and exp underflows to +0 below about −745.13.  NaN fails
+   both tests and goes through [exp], so it propagates as before. *)
+let[@inline] lse_term vj m mu =
+  if vj = m then 1.0
+  else
+    let z = (vj -. m) /. mu in
+    if z < -746.0 then 0.0 else exp z
+
+(* log s, skipping log 1 = 0: s is exactly 1 whenever every other
+   branch lies more than about 37·mu below the top, as most do at
+   tight temperatures. *)
+let[@inline] lse_log s = if s = 1.0 then 0.0 else log s
+
 (* Forward sweep.  With [weights = true] (gradient path, mu > 0) the
    normalised softmax weights of every max are stored in [ws.w] for
-   the reverse sweep.  Allocation-free: all accumulators live in the
-   workspace's flat float arrays. *)
+   the reverse sweep.  Allocation-free: the accumulators live in the
+   workspace's flat float arrays or in unboxed local floats. *)
 let forward ~mu ~weights t ws x =
   let v = ws.v and w = ws.w and s = ws.s and sel = ws.sel in
+  let mv = ws.mv in
   let opa = t.op and loa = t.lo and hia = t.hi and ca = t.c in
-  let tv = t.term_var and te = t.term_expt and ch = t.child in
+  let ch = t.child in
   let n = Array.length opa in
+  monomial_exps t ws x;
   for k = 0 to n - 1 do
     let o = opa.%(k) in
-    if o = op_term then begin
-      v.%(k) <- 0.0;
-      for j = loa.%(k) to hia.%(k) - 1 do
-        v.%(k) <- v.%(k) +. (te.%(j) *. x.%(tv.%(j)))
-      done;
-      v.%(k) <- ca.%(k) *. exp v.%(k)
-    end
+    if o = op_term then v.%(k) <- ca.%(k) *. mv.%(loa.%(k))
     else if o = op_sum then begin
       v.%(k) <- ca.%(k);
       for j = loa.%(k) to hia.%(k) - 1 do
@@ -512,7 +631,7 @@ let forward ~mu ~weights t ws x =
            log-sum-exp normaliser. *)
         s.%(0) <- 0.0;
         for j = loa.%(k) to hia.%(k) - 1 do
-          let e = exp ((v.%(ch.%(j)) -. v.%(k)) /. mu) in
+          let e = lse_term v.%(ch.%(j)) v.%(k) mu in
           if weights then w.%(j) <- e;
           s.%(0) <- s.%(0) +. e
         done;
@@ -520,7 +639,7 @@ let forward ~mu ~weights t ws x =
           for j = loa.%(k) to hia.%(k) - 1 do
             w.%(j) <- w.%(j) /. s.%(0)
           done;
-        v.%(k) <- v.%(k) +. (mu *. log s.%(0))
+        v.%(k) <- v.%(k) +. (mu *. lse_log s.%(0))
       end;
       (* Fused scale factor (1.0 for a plain max: bit-identical). *)
       v.%(k) <- ca.%(k) *. v.%(k)
@@ -557,21 +676,20 @@ let root_branches t ws =
    Gauss–Newton-style reverse sweep below yields the Hessian of the
    active piece.  Allocation-free, like {!forward}. *)
 let forward_tangent ~mu t ws x dx =
-  let v = ws.v and w = ws.w and s = ws.s in
+  let v = ws.v and w = ws.w and s = ws.s and mv = ws.mv in
   let vd = ws.vd and wd = ws.wd and sel = ws.sel in
   let opa = t.op and loa = t.lo and hia = t.hi and ca = t.c in
   let tv = t.term_var and te = t.term_expt and ch = t.child in
   let n = Array.length opa in
+  monomial_exps t ws x;
   for k = 0 to n - 1 do
     let o = opa.%(k) in
     if o = op_term then begin
-      v.%(k) <- 0.0;
+      v.%(k) <- ca.%(k) *. mv.%(loa.%(k));
       vd.%(k) <- 0.0;
       for j = loa.%(k) to hia.%(k) - 1 do
-        v.%(k) <- v.%(k) +. (te.%(j) *. x.%(tv.%(j)));
         vd.%(k) <- vd.%(k) +. (te.%(j) *. dx.%(tv.%(j)))
       done;
-      v.%(k) <- ca.%(k) *. exp v.%(k);
       (* d(c·e^s) = c·e^s·ds *)
       vd.%(k) <- v.%(k) *. vd.%(k)
     end
@@ -599,7 +717,7 @@ let forward_tangent ~mu t ws x dx =
         let m = v.%(k) in
         s.%(0) <- 0.0;
         for j = loa.%(k) to hia.%(k) - 1 do
-          let e = exp ((v.%(ch.%(j)) -. m) /. mu) in
+          let e = lse_term v.%(ch.%(j)) m mu in
           w.%(j) <- e;
           s.%(0) <- s.%(0) +. e
         done;
@@ -614,7 +732,7 @@ let forward_tangent ~mu t ws x dx =
         for j = loa.%(k) to hia.%(k) - 1 do
           wd.%(j) <- w.%(j) *. (vd.%(ch.%(j)) -. vd.%(k)) /. mu
         done;
-        v.%(k) <- m +. (mu *. log s.%(0))
+        v.%(k) <- m +. (mu *. lse_log s.%(0))
       end;
       v.%(k) <- ca.%(k) *. v.%(k);
       vd.%(k) <- ca.%(k) *. vd.%(k)

@@ -4,15 +4,27 @@
     log-space variables: constants, posynomial terms, sums with a
     constant bias, (optionally scaled) maxima and scales.  Every
     [Term]'s exponent list is flattened into shared index/exponent
-    arrays.  A reusable {!workspace} holds the per-slot value and
-    adjoint buffers plus a softmax-weight slab (sized when the tape is
-    built) for the smoothed [max].  Evaluation is one forward sweep
-    over the tape; the gradient is a forward sweep followed by a
-    reverse (adjoint) sweep that accumulates scalar adjoints straight
-    into the caller's output vector — O(|tape|) total, with zero heap
-    allocation once the workspace exists.  Every sweep runs serially
-    on the calling domain; concurrent evaluators share one tape, each
-    through its own workspace.
+    arrays, pooled by monomial: under x_i = ln p_i each cost term is
+    [c·exp(a·x)] with one of a handful of exponent vectors per node
+    and edge, so the tape stores each distinct exponent segment once
+    and every term slot with that segment points at it.  A reusable
+    {!workspace} holds the per-slot value and adjoint buffers plus a
+    softmax-weight slab (sized when the tape is built) for the
+    smoothed [max].  Evaluation is one forward sweep over the tape; the
+    gradient is a forward sweep followed by a reverse (adjoint) sweep
+    that accumulates scalar adjoints straight into the caller's output
+    vector — O(|tape|) total, with zero heap allocation once the
+    workspace exists.  Every sweep runs serially on the calling domain;
+    concurrent evaluators share one tape, each through its own
+    workspace.
+
+    A forward sweep calls [exp] once per distinct monomial, not once
+    per term slot, and the smoothed max skips the [exp] and [log] calls
+    whose results are exact: a branch equal to the max contributes 1, a
+    branch more than 746·mu below it contributes +0 (where [exp]
+    underflows), and [log 1 = 0].  Every value, gradient and
+    Hessian-vector product is bit-identical to evaluating each term and
+    branch on its own.
 
     Two front ends write tapes through one {!Builder}:
     - {!compile} walks an {!Expr} DAG once: constant subtrees are
@@ -54,7 +66,10 @@ module Builder : sig
   val term : t -> float -> (int * float) array -> int
   (** [term b coeff expts] is [coeff · exp(Σ a·x_i)] over [expts], given
       in ascending variable order as {!Expr} keeps them (the tape stores
-      them reversed). *)
+      them reversed).  A term whose stored entries (variables and
+      exponent bits) equal an earlier term's shares that term's
+      segment, so its entries are not stored again.  An empty [expts]
+      is the constant [coeff] ({!const}). *)
 
   val sum : t -> float -> int list -> int
   (** [sum b bias kids] is [bias + Σ kids], with [kids] in reverse
@@ -78,8 +93,8 @@ val compile : Expr.t -> t
 (** One-shot compilation of the DAG reachable from the root. *)
 
 val equal : t -> t -> bool
-(** Same instructions, segments, constants (bit for bit), variable
-    count and root. *)
+(** Same instructions, segments, monomial numbering, constants (bit
+    for bit), variable count and root. *)
 
 val create_workspace : t -> workspace
 (** Fresh buffers sized for the tape.  All subsequent [eval] /
@@ -92,7 +107,13 @@ val num_slots : t -> int
 (** Number of instructions (distinct live DAG nodes after folding). *)
 
 val num_term_entries : t -> int
-(** Total flattened (variable, exponent) pairs across all terms. *)
+(** Flattened (variable, exponent) pairs stored for the terms: each
+    distinct monomial's entries count once, however many term slots
+    share them. *)
+
+val num_monomials : t -> int
+(** Distinct monomials (exponent segments) of the tape: the [exp]
+    calls of one forward sweep's term pre-pass. *)
 
 val num_children : t -> int
 (** Total flattened child references across all sums and maxima. *)

@@ -110,7 +110,10 @@ let emit_cache_counter obs outcome =
    one solve; its leader runs the cold solve an uncached plan runs and
    stores the result. *)
 let solve_cached config cache (req : request) g =
-  let key = Plan_cache.key req.params g ~procs:req.procs in
+  let key =
+    Plan_cache.key ~options:config.solver_options req.params g
+      ~procs:req.procs
+  in
   let obs = config.obs in
   let allocation, outcome =
     match Plan_cache.warm cache key with

@@ -23,17 +23,8 @@ let rel_close ?(eps = 1e-9) a b =
    the result is a genuine DAG with shared subexpressions, nested
    maxima and foldable constant subtrees — the shapes [Tape.compile]
    has to get right. *)
-let random_dag_gen =
+let dag_gen ~leaves term_gen =
   let open QCheck.Gen in
-  let term_gen =
-    let* c = float_range 0.1 5.0 in
-    let* k = int_range 1 nvars in
-    let* expts =
-      list_size (return k)
-        (pair (int_range 0 (nvars - 1)) (float_range (-2.0) 2.0))
-    in
-    return (Expr.term ~coeff:c ~expts)
-  in
   let leaf =
     frequency [ (4, term_gen); (1, map Expr.const (float_range 0.0 3.0)) ]
   in
@@ -51,7 +42,7 @@ let random_dag_gen =
         let* c = float_range 0.0 2.0 in
         return (Expr.sum (Expr.const c :: picks))
   in
-  let* leaves = list_size (int_range 3 6) leaf in
+  let* leaves = list_size leaves leaf in
   let* rounds = int_range 2 6 in
   let rec grow pool rounds =
     if rounds = 0 then return (Expr.sum pool)
@@ -60,6 +51,30 @@ let random_dag_gen =
       grow (e :: pool) (rounds - 1)
   in
   grow leaves rounds
+
+let random_dag_gen =
+  let open QCheck.Gen in
+  dag_gen ~leaves:(int_range 3 6)
+    (let* c = float_range 0.1 5.0 in
+     let* k = int_range 1 nvars in
+     let* expts =
+       list_size (return k)
+         (pair (int_range 0 (nvars - 1)) (float_range (-2.0) 2.0))
+     in
+     return (Expr.term ~coeff:c ~expts))
+
+(* Monomial-heavy DAGs: exponents from {±0.5, ±1} over the three
+   variables leave few distinct monomials, so many terms share one
+   exponent segment under different coefficients. *)
+let monomial_dag_gen =
+  let open QCheck.Gen in
+  dag_gen ~leaves:(int_range 6 14)
+    (let* c = float_range 0.1 5.0 in
+     let* expts =
+       list_size (int_range 1 2)
+         (pair (int_range 0 (nvars - 1)) (oneofl [ -1.0; -0.5; 0.5; 1.0 ]))
+     in
+     return (Expr.term ~coeff:c ~expts))
 
 let point_gen =
   QCheck.Gen.(array_size (return nvars) (float_range (-1.5) 1.5))
@@ -115,6 +130,165 @@ let prop_tape_grad_matches_finite_difference =
         if not (rel_close ~eps:1e-3 fd grad.(i)) then ok := false
       done;
       !ok)
+
+(* The same DAG with every term given its own monomial: an extra
+   variable [nvars], read at 0, with a distinct exponent per term node.
+   It is stored first in each segment and adds +0 to the exponent sum,
+   so every value, gradient and HVP coordinate below [nvars] is the
+   pooled tape's, bit for bit, if pooling is invisible. *)
+let unpooled_twin e =
+  let memo = Hashtbl.create 64 in
+  let fresh = ref 0 in
+  let rec go e =
+    match Hashtbl.find_opt memo (Expr.id e) with
+    | Some e' -> e'
+    | None ->
+        let e' =
+          match Expr.view e with
+          | Expr.V_const c -> Expr.const c
+          | Expr.V_term { coeff; expts } ->
+              incr fresh;
+              Expr.term ~coeff
+                ~expts:((nvars, float_of_int !fresh) :: Array.to_list expts)
+          | Expr.V_sum es -> Expr.sum (List.map go (Array.to_list es))
+          | Expr.V_max es -> Expr.max_ (List.map go (Array.to_list es))
+          | Expr.V_scale (f, e') -> Expr.scale f (go e')
+        in
+        Hashtbl.add memo (Expr.id e) e';
+        e'
+  in
+  go e
+
+let prop_monomial_sharing_invisible =
+  QCheck.Test.make
+    ~name:"shared monomials: tape == Expr, == unshared twin bit for bit"
+    ~count:300
+    (QCheck.make QCheck.Gen.(triple monomial_dag_gen point_gen point_gen))
+    (fun (e, x, dx) ->
+      let tape = Tape.compile e in
+      let ws = Tape.create_workspace tape in
+      let twin = Tape.compile (unpooled_twin e) in
+      let tws = Tape.create_workspace twin in
+      let x' = Array.append x [| 0.0 |] and dx' = Array.append dx [| 0.0 |] in
+      let bits = Int64.bits_of_float in
+      let same a b = Int64.equal (bits a) (bits b) in
+      let same_prefix a b =
+        Array.for_all Fun.id (Array.init nvars (fun i -> same a.(i) b.(i)))
+      in
+      let grad = Array.make nvars 0.0 and hvp = Array.make nvars 0.0 in
+      let tgrad = Array.make (nvars + 1) 0.0 in
+      let thvp = Array.make (nvars + 1) 0.0 in
+      List.for_all
+        (fun mu ->
+          let v_ref, g_ref = Expr.eval_grad ~mu e x in
+          let v = Tape.eval ~mu tape ws x in
+          let vg = Tape.eval_grad ~mu tape ws ~x ~grad in
+          let g = Array.copy grad in
+          let vh = Tape.eval_hvp ~mu tape ws ~x ~dx ~grad ~hvp in
+          let tv = Tape.eval ~mu twin tws x' in
+          let tvh =
+            Tape.eval_hvp ~mu twin tws ~x:x' ~dx:dx' ~grad:tgrad ~hvp:thvp
+          in
+          rel_close v_ref v && same v vg && same v vh
+          && Array.for_all2 (fun a b -> rel_close a b) g_ref g
+          && Array.for_all2 (fun a b -> rel_close a b) g_ref grad
+          && same v tv && same vh tvh && same_prefix grad tgrad
+          && same_prefix hvp thvp)
+        mus)
+
+(* ------------------------------------------------------------------ *)
+(* The smoothed max's exact shortcuts                                  *)
+(* ------------------------------------------------------------------ *)
+
+(* max (2·e^x0, c·e^x1) at x = 0, with c = 2 − gap·mu: from 746·mu
+   below the top down, the low branch's exp underflows to +0, so the
+   smoothed max is the top bit for bit and the low branch's gradient
+   weight is 0. *)
+let test_far_branch_is_exact () =
+  let mu = 1.0 /. 1024.0 in
+  List.iter
+    (fun gap ->
+      let top = Expr.term ~coeff:2.0 ~expts:[ (0, 1.0) ] in
+      let low = Expr.term ~coeff:(2.0 -. (gap *. mu)) ~expts:[ (1, 1.0) ] in
+      let e = Expr.max_ [ top; low ] in
+      let tape = Tape.compile e in
+      let ws = Tape.create_workspace tape in
+      let x = [| 0.0; 0.0 |] and grad = [| 0.0; 0.0 |] in
+      let what = Printf.sprintf "%g mu below" gap in
+      Alcotest.(check int64) (what ^ ": eval is the top")
+        (Int64.bits_of_float 2.0)
+        (Int64.bits_of_float (Tape.eval ~mu tape ws x));
+      Alcotest.(check int64) (what ^ ": Expr.eval is the top")
+        (Int64.bits_of_float 2.0)
+        (Int64.bits_of_float (Expr.eval ~mu e x));
+      ignore (Tape.eval_grad ~mu tape ws ~x ~grad);
+      Alcotest.(check int64) (what ^ ": top branch gradient")
+        (Int64.bits_of_float 2.0) (Int64.bits_of_float grad.(0));
+      Alcotest.(check int64) (what ^ ": far branch weight 0")
+        (Int64.bits_of_float 0.0) (Int64.bits_of_float grad.(1)))
+    [ 746.0; 800.0; 1500.0 ]
+
+(* Two equal branches: s = 1 + 1, so the max is m + mu·ln 2. *)
+let test_equal_branches () =
+  let mu = 0.01 in
+  let e =
+    Expr.max_
+      [ Expr.term ~coeff:1.0 ~expts:[ (0, 1.0) ];
+        Expr.term ~coeff:1.0 ~expts:[ (1, 1.0) ] ]
+  in
+  let tape = Tape.compile e in
+  let ws = Tape.create_workspace tape in
+  let x = [| 0.5; 0.5 |] in
+  let m = exp 0.5 in
+  Alcotest.(check int64) "m + mu ln 2"
+    (Int64.bits_of_float (m +. (mu *. log 2.0)))
+    (Int64.bits_of_float (Tape.eval ~mu tape ws x))
+
+(* A NaN branch poisons the smoothed max, as in the reference. *)
+let test_nan_branch () =
+  let e =
+    Expr.max_
+      [ Expr.term ~coeff:1.0 ~expts:[ (0, 1.0) ];
+        Expr.term ~coeff:1.0 ~expts:[ (1, 1.0) ] ]
+  in
+  let tape = Tape.compile e in
+  let ws = Tape.create_workspace tape in
+  let x = [| Float.nan; 0.0 |] in
+  Alcotest.(check bool) "Expr.eval is NaN" true
+    (Float.is_nan (Expr.eval ~mu:0.1 e x));
+  Alcotest.(check bool) "Tape.eval is NaN" true
+    (Float.is_nan (Tape.eval ~mu:0.1 tape ws x))
+
+(* A term with no exponents is exp 0 times its coefficient: the
+   builder makes it a constant rather than an empty segment. *)
+let test_empty_term () =
+  let b = Tape.Builder.create () in
+  let empty = Tape.Builder.term b 2.5 [||] in
+  let t = Tape.Builder.term b 1.0 [| (0, 1.0) |] in
+  let tape = Tape.Builder.finish b ~root:(Tape.Builder.sum b 0.0 [ t; empty ]) in
+  let ws = Tape.create_workspace tape in
+  Alcotest.(check (float 0.0)) "2.5 + e^0.3" (2.5 +. exp 0.3)
+    (Tape.eval tape ws [| 0.3 |]);
+  Alcotest.(check int) "one monomial" 1 (Tape.num_monomials tape)
+
+(* The calibrated paper graphs hold far fewer distinct monomials than
+   term slots: complex-mm has 56 over 128 term slots, one-level
+   Strassen (29 nodes) 174 over 414. *)
+let test_paper_monomials () =
+  let gt = Machine.Ground_truth.cm5_like () in
+  let procs = [ 1; 2; 4; 8; 16; 32; 64 ] in
+  let count g kernels =
+    let params, _, _ = Machine.Measure.calibrate gt ~procs kernels in
+    Tape.num_monomials
+      (Core.Allocation.objective_tape params (G.normalise g) ~procs:64)
+  in
+  Alcotest.(check int) "complex-mm" 56
+    (count (fst (Kernels.Complex_mm.graph ~n:64 ()))
+       (Kernels.Complex_mm.kernels ~n:64));
+  Alcotest.(check int) "strassen" 174
+    (count
+       (fst (Kernels.Strassen_mdg.graph ~n:128 ()))
+       (Kernels.Strassen_mdg.kernels ~n:128))
 
 (* ------------------------------------------------------------------ *)
 (* Structure: folding, sizes, validation                               *)
@@ -318,4 +492,14 @@ let suite =
       test_solve_vs_expr_strassen;
     Alcotest.test_case "allocation objective: tape smoke" `Quick
       test_allocation_objective_tape_smoke;
+    QCheck_alcotest.to_alcotest prop_monomial_sharing_invisible;
+    Alcotest.test_case "max: a far branch adds exactly +0" `Quick
+      test_far_branch_is_exact;
+    Alcotest.test_case "max: two equal branches add mu*ln(2)" `Quick
+      test_equal_branches;
+    Alcotest.test_case "max: a NaN branch gives NaN" `Quick test_nan_branch;
+    Alcotest.test_case "a term with no exponents is its coefficient" `Quick
+      test_empty_term;
+    Alcotest.test_case "paper graphs: distinct monomials" `Quick
+      test_paper_monomials;
   ]
