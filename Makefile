@@ -1,7 +1,7 @@
 # Development entry points.  `make verify` is the tier-1 gate: build,
 # test, and (when ocamlformat is installed) formatting drift.
 
-.PHONY: all build test test-long fmt fmt-apply verify bench-quick planbench-smoke bench-ab clean
+.PHONY: all build test test-long fmt fmt-apply verify bench-quick planbench-smoke bench-ab fingerprint clean
 
 all: build
 
@@ -67,6 +67,15 @@ planbench-smoke: build
 bench-ab:
 	@test -n "$(BASE)" || { echo "usage: make bench-ab BASE=<rev>" >&2; exit 2; }
 	python3 bench/ab.py $(BASE)
+
+# Bit-identical plans: the digest of bench/fingerprint.ml's cold plans
+# (Phi, A_p, C_p, allocation, solver x, value and counts, T_psa) in
+# the working tree and in git revision BASE, extracted as bench-ab
+# does; exits 1 when they differ.  libm's last bits may differ between
+# machines, so this compares two builds on one machine: not a CI step.
+fingerprint:
+	@test -n "$(BASE)" || { echo "usage: make fingerprint BASE=<rev>" >&2; exit 2; }
+	python3 bench/fingerprint.py $(BASE)
 
 clean:
 	dune clean

@@ -4,10 +4,17 @@
    figure of the paper and then runs the Bechamel micro-benchmarks of
    the core algorithms.  `dune exec bench/main.exe -- <experiment>`
    runs one experiment: fig1 tab1 fig3 tab2 fig5 fig6 fig7 fig8 fig9
-   tab3 ablate micro. *)
+   tab3 ablate micro.  `-- fingerprint` prints the plan digest of
+   bench/fingerprint.ml. *)
 
 open Bechamel
 open Toolkit
+
+(* The optimum of the Strassen objective in log space, and a point
+   just below it. *)
+let st_points alloc =
+  let x = Array.map log alloc in
+  [| x; Array.map (fun xi -> Float.max 0.0 (xi -. 1e-6)) x |]
 
 let micro_tests () =
   let gt = Machine.Ground_truth.cm5_like () in
@@ -45,21 +52,28 @@ let micro_tests () =
       (let obj = Core.Allocation.objective params st_graph ~procs:64 in
        let x = Array.map log st_alloc in
        Staged.stage (fun () -> ignore (Convex.Expr.eval_grad ~mu:1e-4 obj x)));
+    (* The two tape rows alternate two points: at the point of its last
+       forward sweep a workspace runs none, so a repeated point would
+       time the held-point check instead of a sweep. *)
     Test.make ~name:"objective: tape eval_grad on strassen expr"
       (let obj = Core.Allocation.objective params st_graph ~procs:64 in
        let tape = Convex.Tape.compile obj in
        let ws = Convex.Tape.create_workspace tape in
-       let x = Array.map log st_alloc in
-       let grad = Array.make (Array.length x) 0.0 in
+       let xs = st_points st_alloc and i = ref 0 in
+       let grad = Array.make (Array.length st_alloc) 0.0 in
        Staged.stage (fun () ->
-           ignore (Convex.Tape.eval_grad ~mu:1e-4 tape ws ~x ~grad)));
+           incr i;
+           ignore
+             (Convex.Tape.eval_grad ~mu:1e-4 tape ws ~x:xs.(!i land 1) ~grad)));
     (* The Armijo trial sweep: the solver's most frequent call. *)
     Test.make ~name:"objective: tape eval (mu > 0) on strassen expr"
       (let obj = Core.Allocation.objective params st_graph ~procs:64 in
        let tape = Convex.Tape.compile obj in
        let ws = Convex.Tape.create_workspace tape in
-       let x = Array.map log st_alloc in
-       Staged.stage (fun () -> ignore (Convex.Tape.eval ~mu:1e-4 tape ws x)));
+       let xs = st_points st_alloc and i = ref 0 in
+       Staged.stage (fun () ->
+           incr i;
+           ignore (Convex.Tape.eval ~mu:1e-4 tape ws xs.(!i land 1))));
     Test.make ~name:"objective: tape compile (strassen)"
       (let obj = Core.Allocation.objective params st_graph ~procs:64 in
        Staged.stage (fun () -> ignore (Convex.Tape.compile obj)));
@@ -91,7 +105,7 @@ let run_micro () =
 let usage () =
   prerr_endline
     "usage: main.exe \
-     [fig1|tab1|fig3|tab2|fig5|fig6|fig7|fig8|fig9|tab3|ablate|sweep|static|heuristics|topology|scale|scale-quick|expand|micro]\n\
+     [fig1|tab1|fig3|tab2|fig5|fig6|fig7|fig8|fig9|tab3|ablate|sweep|static|heuristics|topology|scale|scale-quick|expand|micro|fingerprint]\n\
      \       main.exe scale [<levels>|strassen:<levels>|random:<spec>:<seed>]...";
   exit 2
 
@@ -101,6 +115,7 @@ let () =
       Experiments.all ();
       run_micro ()
   | [| _; "micro" |] -> run_micro ()
+  | [| _; "fingerprint" |] -> Fingerprint.run ()
   | [| _; name |] -> (
       match Experiments.by_name name with Some run -> run () | None -> usage ())
   | argv when Array.length argv > 2 && argv.(1) = "scale" ->
