@@ -239,8 +239,8 @@ let newton_stage ~opts ~tol ~mu c ~grid ~last_k ~lo ~hi ~x ~g ~cand ~d ~r ~p
              ((x.(i) <= lo.(i) +. eps && g.(i) > 0.0)
              || (x.(i) >= hi.(i) -. eps && g.(i) < 0.0))
        done;
-       (* Mask the tape to the free set (the HVPs below sweep only the
-          live instructions), then build the Jacobi preconditioner
+       (* Hand the tape the free set (the HVPs below are zero on the
+          frozen coordinates), then build the Jacobi preconditioner
           from the Gauss–Newton diagonal.  Both reuse the values and
           adjoints the gradient sweep above left in the workspace, so no
           further sweep may run until CG is done. *)

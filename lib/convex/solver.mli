@@ -21,13 +21,13 @@
 
     Every stage is a projected (two-metric) Newton-CG stage.
     Jacobi-preconditioned conjugate gradients over masked tape
-    Hessian-vector products ({!Tape.hvp_masked}, swept over the
-    instructions live under the current free set only) solve the
-    Newton system on the free (non-bound) variables, cutting the
-    iteration count at tight smoothing temperatures from hundreds to a
-    handful.  At mu = 0 the masked HVP is the generalised Hessian of
-    the active piece, and the projected-Newton polish is what pushes a
-    stalled anneal the last ~1e-3 to the optimum.
+    Hessian-vector products ({!Tape.hvp_masked}, restricted to the
+    current free set) solve the Newton system on the free (non-bound)
+    variables, cutting the iteration count at tight smoothing
+    temperatures from hundreds to a handful.  At mu = 0 the masked HVP
+    is the generalised Hessian of the active piece, and the
+    projected-Newton polish is what pushes a stalled anneal the last
+    ~1e-3 to the optimum.
 
     Each Newton step is accepted by an Armijo test along the projected
     arc [x + α·d], over the step grid α_k = [armijo_shrink]^k,
