@@ -68,10 +68,11 @@ bench-ab:
 	@test -n "$(BASE)" || { echo "usage: make bench-ab BASE=<rev>" >&2; exit 2; }
 	python3 bench/ab.py $(BASE)
 
-# Bit-identical plans: the digest of bench/fingerprint.ml's cold plans
-# (Phi, A_p, C_p, allocation, solver x, value and counts, T_psa) in
-# the working tree and in git revision BASE, extracted as bench-ab
-# does; exits 1 when they differ.  libm's last bits may differ between
+# Bit-identical plans: the digest of bench/fingerprint.ml's 410 cold
+# plans (Phi, A_p, C_p, allocation, solver x, value and counts, T_psa)
+# and 150 solves the plan path never runs (warm re-solves and the
+# ablate option sets) in the working tree and in git revision BASE,
+# extracted as bench-ab does; exits 1 when they differ.  libm's last bits may differ between
 # machines, so this compares two builds on one machine: not a CI step.
 fingerprint:
 	@test -n "$(BASE)" || { echo "usage: make fingerprint BASE=<rev>" >&2; exit 2; }

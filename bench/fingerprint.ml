@@ -1,19 +1,27 @@
-(* Plan fingerprint: one digest over the bits of a fixed set of cold
-   plans, so two builds can be checked for bit-identical plans.
+(* Plan fingerprint: one digest over the bits of a fixed set of
+   solves, so two builds can be checked for bit-identical plans.
 
      dune exec bench/main.exe -- fingerprint
      make fingerprint BASE=<rev>    (this tree against revision BASE)
 
-   Every plan runs through [Core.Pipeline.plan_exn] with the default
-   configuration: default solver and PSA options, no cache.  The digest
-   covers, per plan, Φ, A_p and C_p, the allocation, the solver's x,
-   value, iterations, stages, HVPs, CG iterations and [converged], and
-   T_psa, floats by their bits.  libm's last bits may differ between
-   machines, so compare digests taken on one machine only.
+   Every case's plans run through [Core.Pipeline.plan_exn] with the
+   default configuration: default solver and PSA options, no cache.
+   The digest covers, per plan, Φ, A_p and C_p, the allocation, the
+   solver's x, value, iterations, stages, HVPs, CG iterations and
+   [converged], and T_psa, floats by their bits.
 
-   This file uses only the libraries' public interfaces, so
-   bench/fingerprint.py can build it unchanged inside an older
-   revision. *)
+   The plan path solves cold with the default options only, so the
+   plans of the first [off_path_cases] cases are also solved three
+   ways it never solves them, through [Core.Allocation.solve], and the
+   digest covers each result as it covers a plan's allocation: a
+   re-solve from the plan's own optimum, which runs the warm-start
+   probe (as the golden row strassen-l1-p16-warm does), and cold solves
+   under the two option sets of [bench ablate].
+
+   libm's last bits may differ between machines, so compare digests
+   taken on one machine only.  This file uses only the libraries'
+   public interfaces, so bench/fingerprint.py can build it unchanged
+   inside an older revision. *)
 
 module G = Mdg.Graph
 
@@ -58,10 +66,19 @@ let cases () =
   @ List.init 200 (fun i ->
         workgen "depth=3,branch=3,cutoff=0.15,wiring=0.3" (i + 1) [ 16; 64 ])
 
-let add_plan buf (plan : Core.Pipeline.plan) =
+let off_path_cases = 25
+
+let ablate_options =
+  Convex.Solver.
+    [
+      { default_options with mu_final = 1e-2 };
+      { default_options with mu_init = 1e-30; mu_final = 1e-30 };
+    ]
+
+let add_allocation buf (a : Core.Allocation.result) =
   let float f = Buffer.add_int64_le buf (Int64.bits_of_float f) in
   let int i = Buffer.add_int64_le buf (Int64.of_int i) in
-  let a = plan.allocation and s = plan.allocation.solver in
+  let s = a.solver in
   float a.phi;
   float a.average;
   float a.critical_path;
@@ -73,23 +90,43 @@ let add_plan buf (plan : Core.Pipeline.plan) =
   int s.stages;
   int s.hvp_evals;
   int s.cg_iterations;
-  int (Bool.to_int s.converged);
-  float (Core.Pipeline.predicted_time plan)
+  int (Bool.to_int s.converged)
+
+let add_plan buf (plan : Core.Pipeline.plan) =
+  add_allocation buf plan.allocation;
+  Buffer.add_int64_le buf
+    (Int64.bits_of_float (Core.Pipeline.predicted_time plan))
+
+(* The solves of [plan]'s program that the plan path never runs;
+   returns how many. *)
+let add_off_path buf (plan : Core.Pipeline.plan) =
+  let solve ?options ?x0 () =
+    Core.Allocation.solve ?options ?x0 plan.params plan.graph
+      ~procs:plan.procs
+  in
+  add_allocation buf (solve ~x0:(Array.map log plan.allocation.alloc) ());
+  List.iter
+    (fun options -> add_allocation buf (solve ~options ()))
+    ablate_options;
+  1 + List.length ablate_options
 
 let run () =
   let buf = Buffer.create (1 lsl 16) in
-  let plans = ref 0 in
+  let plans = ref 0 and others = ref 0 in
   let t0 = Sys.time () in
-  List.iter
-    (fun (name, params, g, procs) ->
+  List.iteri
+    (fun i (name, params, g, procs) ->
       List.iter
         (fun p ->
           Buffer.add_string buf (Printf.sprintf "%s@%d;" name p);
-          add_plan buf (Core.Pipeline.plan_exn params g ~procs:p);
-          incr plans)
+          let plan = Core.Pipeline.plan_exn params g ~procs:p in
+          add_plan buf plan;
+          incr plans;
+          if i < off_path_cases then
+            others := !others + add_off_path buf plan)
         procs)
     (cases ());
-  Printf.printf "fingerprint %s (%d plans, %.1f s CPU)\n"
+  Printf.printf "fingerprint %s (%d plans, %d other solves, %.1f s CPU)\n"
     (Digest.to_hex (Digest.string (Buffer.contents buf)))
-    !plans
+    !plans !others
     (Sys.time () -. t0)

@@ -37,18 +37,9 @@ let jacobi_clamp ~free m =
     let fl = floor_rel *. !dmax in
     for i = 0 to n - 1 do
       m.(i) <- (if Float.is_finite m.(i) && m.(i) > fl then m.(i) else fl)
-    done;
-    true
+    done
   end
-  else begin
+  else
     (* Degenerate diagonal (e.g. every free coordinate dead at this
        point): fall back to the identity, i.e. unpreconditioned CG. *)
-    Array.fill m 0 n 1.0;
-    false
-  end
-
-let apply ~free m r z =
-  let n = Vec.dim r in
-  for i = 0 to n - 1 do
-    z.(i) <- (if free.(i) then r.(i) /. m.(i) else 0.0)
-  done
+    Array.fill m 0 n 1.0

@@ -6,14 +6,9 @@
     same recurrence with the identity diagonal, which reproduces plain
     CG bit for bit. *)
 
-val jacobi_clamp : free:bool array -> Numeric.Vec.t -> bool
+val jacobi_clamp : free:bool array -> Numeric.Vec.t -> unit
 (** Clamp a raw (possibly indefinite or singular) Hessian diagonal
     into an SPD Jacobi preconditioner, in place: entries that are
     non-finite, nonpositive or tiny relative to the largest free entry
-    are raised to a relative floor.  Returns [false] — and resets the
-    diagonal to the identity — when no free entry is usable. *)
-
-val apply :
-  free:bool array -> Numeric.Vec.t -> Numeric.Vec.t -> Numeric.Vec.t -> unit
-(** [apply ~free m r z] overwrites [z] with [M⁻¹ r] on the free
-    coordinates ([z_i = r_i / m_i]) and zero elsewhere. *)
+    are raised to a relative floor.  When no free entry is usable the
+    diagonal is reset to the identity. *)

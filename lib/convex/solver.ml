@@ -10,46 +10,22 @@ type options = {
   tol : float;
   mu_init : float;
   mu_final : float;
-  mu_decay : float;
-  armijo_c : float;
-  armijo_shrink : float;
-  newton_max_iters : int;
-  cg_max_iters : int;
   precondition : bool;
 }
 
 let default_options =
-  {
-    tol = 1e-6;
-    mu_init = 1e-2;
-    mu_final = 1e-6;
-    mu_decay = 0.01;
-    armijo_c = 1e-4;
-    armijo_shrink = 0.5;
-    newton_max_iters = 20;
-    cg_max_iters = 8;
-    precondition = true;
-  }
+  { tol = 1e-6; mu_init = 1e-2; mu_final = 1e-6; precondition = true }
 
-(* The record pattern is exhaustive, so a new option cannot be left
-   out of the key without a compile error. *)
-let add_key b
-    {
-      tol;
-      mu_init;
-      mu_final;
-      mu_decay;
-      armijo_c;
-      armijo_shrink;
-      newton_max_iters;
-      cg_max_iters;
-      precondition;
-    } =
-  let float x = Buffer.add_int64_le b (Int64.bits_of_float x) in
-  List.iter float [ tol; mu_init; mu_final; mu_decay; armijo_c; armijo_shrink ];
-  Buffer.add_int64_le b (Int64.of_int newton_max_iters);
-  Buffer.add_int64_le b (Int64.of_int cg_max_iters);
-  Buffer.add_char b (if precondition then '\001' else '\000')
+(* The constants of every solve, stated in solver.mli. *)
+let mu_decay = 0.01
+
+let armijo_c = 1e-4
+
+let armijo_shrink = 0.5
+
+let newton_max_iters = 20
+
+let cg_max_iters = 8
 
 type result = {
   x : Vec.t;
@@ -90,16 +66,24 @@ let check_box name lo hi =
   let n = Vec.dim lo in
   if Vec.dim hi <> n then invalid_arg (name ^ ": lo/hi dimension mismatch");
   for i = 0 to n - 1 do
-    if lo.(i) > hi.(i) then invalid_arg (name ^ ": empty box")
+    (* Negated so that a NaN bound fails too. *)
+    if not (lo.(i) <= hi.(i)) then
+      invalid_arg
+        (name ^ if lo.(i) > hi.(i) then ": empty box" else ": NaN bound")
   done
 
+(* The anneal ends only once its temperature reaches [mu_final]: a
+   NaN or infinite temperature never does, nor does a negative
+   [mu_final] once the temperature has decayed to zero. *)
 let check_options name o =
-  let in_unit field v =
-    if not (v > 0.0 && v < 1.0) then
-      invalid_arg (Printf.sprintf "%s: options.%s must lie in (0, 1)" name field)
+  let positive field v =
+    if not (v > 0.0 && Float.is_finite v) then
+      invalid_arg
+        (Printf.sprintf "%s: options.%s must be positive and finite" name field)
   in
-  in_unit "mu_decay" o.mu_decay;
-  in_unit "armijo_shrink" o.armijo_shrink
+  positive "tol" o.tol;
+  positive "mu_init" o.mu_init;
+  positive "mu_final" o.mu_final
 
 let clamp1 lo hi v = if v < lo then lo else if v > hi then hi else v
 
@@ -108,10 +92,10 @@ let grid_steps = 40
 (* The step for grid index k, armijo_shrink^k, by the same repeated
    multiplication a backtracking loop from alpha = 1 performs, so each
    step is bit-identical to the one that loop tries after k shrinks. *)
-let step_grid shrink =
+let grid =
   let a = Array.make grid_steps 1.0 in
   for k = 1 to grid_steps - 1 do
-    a.(k) <- a.(k - 1) *. shrink
+    a.(k) <- a.(k - 1) *. armijo_shrink
   done;
   a
 
@@ -129,6 +113,30 @@ let grid_search ~start accept =
   in
   if accept start then Some (up start)
   else match down (start + 1) with Some k -> Some k | None -> scan 0
+
+(* The projected-gradient probe from [x], whose value and gradient at
+   [mu] are [fx] and [g]: the points [cand = P(x - alpha g)] for
+   alpha = 1, 1/2, ..., at most [tries] of them, until [accept fc gd]
+   takes one, where [fc] is its value at [mu] and [gd] is
+   g·(cand - x).  Returns the decrease [fx - fc], leaving the accepted
+   point in [cand], or 0 when no point is accepted. *)
+let probe ~tries ~mu c ~lo ~hi ~x ~fx ~g ~cand accept =
+  let n = Vec.dim x in
+  let rec go alpha tries =
+    if tries = 0 then 0.0
+    else begin
+      let gd = ref 0.0 in
+      for i = 0 to n - 1 do
+        let ci = clamp1 lo.(i) hi.(i) (x.(i) -. (alpha *. g.(i))) in
+        cand.(i) <- ci;
+        gd := !gd +. (g.(i) *. (ci -. x.(i)))
+      done;
+      let fc = Tape.eval ~mu c.tape c.ws cand in
+      if accept fc !gd then fx -. fc
+      else go (alpha *. armijo_shrink) (tries - 1)
+    end
+  in
+  go 1.0 tries
 
 (* What one Newton stage did: outer iterations, CG iterations and HVPs,
    whether it stopped on its tolerance, and its projected-arc searches
@@ -148,20 +156,20 @@ type newton_stats = {
    temperature over the compiled tape [c].  Each outer iteration
    computes the gradient, freezes the active box faces (bound reached,
    gradient pushing outward), solves [H d = -g] on the free variables
-   by Jacobi-preconditioned conjugate gradients driven by masked tape
-   Hessian-vector products, fills the active components with steepest
+   by Jacobi-preconditioned conjugate gradients driven by tape
+   Hessian-vector products along directions that are zero on the
+   frozen coordinates, fills the active components with steepest
    descent and searches the step grid along the projected arc.  The CG
    is inexact (Eisenstat–Walker-style forcing), so far from the optimum
    a handful of HVPs buy a Newton-quality step, while near it the
    tolerance tightens for superlinear convergence.  With
-   [opts.precondition] false the identity diagonal reproduces plain CG
-   bit for bit.  [grid] is {!step_grid}; [last_k] is the grid index of
-   the last accepted Newton step, carried across the stages of one
-   solve.  All buffers are caller-owned; [x] and [g] are updated in
-   place.  The stage keeps the tape's eval_grad → mask → masked-HVP
-   protocol: no other sweep runs through [c]'s workspace between the
-   gradient sweep and the end of CG. *)
-let newton_stage ~opts ~tol ~mu c ~grid ~last_k ~lo ~hi ~x ~g ~cand ~d ~r ~p
+   [precondition] false the identity diagonal reproduces plain CG bit
+   for bit.  [last_k] is the grid index of the last accepted Newton
+   step, carried across the stages of one solve.  All buffers are
+   caller-owned; [x] and [g] are updated in place.  The stage keeps the
+   tape's eval_grad → HVP protocol: no other sweep runs through [c]'s
+   workspace between the gradient sweep and the end of CG. *)
+let newton_stage ~precondition ~tol ~mu c ~last_k ~lo ~hi ~x ~g ~cand ~d ~r ~p
     ~hp ~z ~mdiag ~free =
   let n = Vec.dim x in
   let outer = ref 0 and cg_total = ref 0 and hvps = ref 0 in
@@ -180,7 +188,7 @@ let newton_stage ~opts ~tol ~mu c ~grid ~last_k ~lo ~hi ~x ~g ~cand ~d ~r ~p
   in
   let f_prev = ref infinity in
   (try
-     for _ = 1 to opts.newton_max_iters do
+     for _ = 1 to newton_max_iters do
        incr outer;
        let fx = Tape.eval_grad ~mu c.tape c.ws ~x ~grad:g in
        (* Stationarity: the projected-gradient step length, plus an
@@ -210,25 +218,17 @@ let newton_stage ~opts ~tol ~mu c ~grid ~last_k ~lo ~hi ~x ~g ~cand ~d ~r ~p
             at step lengths where the linear model grossly
             over-promises, so the Armijo test rejects exactly the
             steps that escape the valley. *)
-         let rec gprobe alpha tries =
-           if tries = 0 then None
-           else begin
-             for i = 0 to n - 1 do
-               cand.(i) <- clamp1 lo.(i) hi.(i) (x.(i) -. (alpha *. g.(i)))
-             done;
-             let fc = Tape.eval ~mu c.tape c.ws cand in
-             if fc < fx then Some fc
-             else gprobe (alpha *. opts.armijo_shrink) (tries - 1)
-           end
+         let decrease =
+           probe ~tries:40 ~mu c ~lo ~hi ~x ~fx ~g ~cand (fun fc _ -> fc < fx)
          in
-         match gprobe 1.0 40 with
-         | Some fc when fx -. fc >= tol *. (1.0 +. Float.abs fx) ->
-             (* Real descent remains: take the gradient step and keep
-                the stage alive. *)
-             Array.blit cand 0 x 0 n
-         | _ ->
-             hit_tol := true;
-             raise Exit
+         if decrease >= tol *. (1.0 +. Float.abs fx) then
+           (* Real descent remains: take the gradient step and keep
+              the stage alive. *)
+           Array.blit cand 0 x 0 n
+         else begin
+           hit_tol := true;
+           raise Exit
+         end
        end
        else begin
        (* Active faces: at a bound with the gradient pushing outward. *)
@@ -239,15 +239,13 @@ let newton_stage ~opts ~tol ~mu c ~grid ~last_k ~lo ~hi ~x ~g ~cand ~d ~r ~p
              ((x.(i) <= lo.(i) +. eps && g.(i) > 0.0)
              || (x.(i) >= hi.(i) -. eps && g.(i) < 0.0))
        done;
-       (* Hand the tape the free set (the HVPs below are zero on the
-          frozen coordinates), then build the Jacobi preconditioner
-          from the Gauss–Newton diagonal.  Both reuse the values and
-          adjoints the gradient sweep above left in the workspace, so no
-          further sweep may run until CG is done. *)
-       Tape.hvp_mask ~mu c.tape c.ws ~free;
-       if opts.precondition then begin
+       (* The Jacobi preconditioner, from the Gauss–Newton diagonal.
+          It and the HVPs below reuse the values and adjoints the
+          gradient sweep above left in the workspace, so no further
+          sweep may run until CG is done. *)
+       if precondition then begin
          Tape.hess_diag c.tape c.ws ~diag:mdiag;
-         ignore (Precond.jacobi_clamp ~free mdiag)
+         Precond.jacobi_clamp ~free mdiag
        end
        else Array.fill mdiag 0 n 1.0;
        (* Preconditioned CG on the free subspace: H restricted by
@@ -268,10 +266,10 @@ let newton_stage ~opts ~tol ~mu c ~grid ~last_k ~lo ~hi ~x ~g ~cand ~d ~r ~p
        in
        (let continue_cg = ref (gnorm > 0.0) in
         let iter = ref 0 in
-        while !continue_cg && !iter < Int.min opts.cg_max_iters n do
+        while !continue_cg && !iter < Int.min cg_max_iters n do
           incr iter;
           incr cg_total;
-          Tape.hvp_masked c.tape c.ws ~x ~dx:p ~hvp:hp;
+          Tape.hvp c.tape c.ws ~dx:p ~hvp:hp;
           incr hvps;
           let php = ref 0.0 in
           for i = 0 to n - 1 do
@@ -320,7 +318,7 @@ let newton_stage ~opts ~tol ~mu c ~grid ~last_k ~lo ~hi ~x ~g ~cand ~d ~r ~p
          incr trials;
          let gd = arc grid.(k) in
          let fc = Tape.eval ~mu c.tape c.ws cand in
-         fc <= fx +. (opts.armijo_c *. gd) && gd < 0.0
+         fc <= fx +. (armijo_c *. gd) && gd < 0.0
        in
        (* The accepted steps of one stage shrink slowly, so the Newton
           search starts one grid step above the last accepted one.  On
@@ -376,13 +374,23 @@ let newton_stage ~opts ~tol ~mu c ~grid ~last_k ~lo ~hi ~x ~g ~cand ~d ~r ~p
     fallbacks = !fallbacks;
   }
 
+(* The projected [x0], or the box centre.  A NaN coordinate would make
+   the anneal's temperatures NaN, and then the anneal never ends. *)
 let start_point name ?x0 lo hi =
   let n = Vec.dim lo in
-  match x0 with
-  | Some x ->
-      if Vec.dim x <> n then invalid_arg (name ^ ": x0 dimension mismatch");
-      Vec.clamp ~lo ~hi x
-  | None -> Vec.init n (fun i -> (lo.(i) +. hi.(i)) /. 2.0)
+  let x =
+    match x0 with
+    | Some x ->
+        if Vec.dim x <> n then invalid_arg (name ^ ": x0 dimension mismatch");
+        Vec.clamp ~lo ~hi x
+    | None -> Vec.init n (fun i -> (lo.(i) +. hi.(i)) /. 2.0)
+  in
+  if Array.exists Float.is_nan x then
+    invalid_arg
+      (match x0 with
+      | Some _ -> name ^ ": x0 has a NaN coordinate"
+      | None -> name ^ ": the box centre has a NaN coordinate");
+  x
 
 (* The staged solve proper, after the box and option checks (see
    [solve_compiled]); [name] prefixes its error messages. *)
@@ -408,7 +416,6 @@ let run ~options ~obs ?x0 name c ~lo ~hi =
   let z = Vec.create n 0.0 in
   let mdiag = Vec.create n 1.0 in
   let free = Array.make n true in
-  let grid = step_grid options.armijo_shrink in
   let last_k = ref 0 in
   (* Scale smoothing temperatures by the magnitude of the objective so
      the anneal behaves the same for millisecond- and second-scale
@@ -449,7 +456,7 @@ let run ~options ~obs ?x0 name c ~lo ~hi =
   in
   let run_stage mu =
     (* Every stage is a projected Newton-CG stage, including the exact
-       (mu = 0) polish, where the masked HVP is the generalised Hessian
+       (mu = 0) polish, where the HVP is the generalised Hessian
        of the active piece: a projected-Newton step along it is what
        pushes the last ~1e-3 of a stalled anneal out (first-order steps
        zig-zag on the kinks of the max and stall above the optimum).
@@ -458,14 +465,14 @@ let run ~options ~obs ?x0 name c ~lo ~hi =
        a loose tolerance; only the tightest smoothed stage and the exact
        polish run to full [options.tol].  The loose stages are also the
        expensive ones: at large mu the smoothed-max curvature couples
-       almost the whole tape into the masked HVPs. *)
+       almost the whole tape into the HVPs. *)
     let tol =
       if mu > mu_final *. 1.000001 then Float.max options.tol 1e-4
       else options.tol
     in
     let s =
-      newton_stage ~opts:options ~tol ~mu c ~grid ~last_k ~lo ~hi ~x ~g ~cand
-        ~d ~r ~p ~hp ~z ~mdiag ~free
+      newton_stage ~precondition:options.precondition ~tol ~mu c ~last_k ~lo
+        ~hi ~x ~g ~cand ~d ~r ~p ~hp ~z ~mdiag ~free
     in
     total_iters := !total_iters + s.outer;
     total_hvps := !total_hvps + s.hvps;
@@ -512,21 +519,10 @@ let run ~options ~obs ?x0 name c ~lo ~hi =
          stages themselves run, so "no achievable decrease" means [x]
          already satisfies the stage stopping criterion. *)
       let fx = fg ~mu:mu_final x in
-      let rec probe alpha tries =
-        if tries = 0 then 0.0
-        else begin
-          let gd = ref 0.0 in
-          for i = 0 to n - 1 do
-            let ci = clamp1 lo.(i) hi.(i) (x.(i) -. (alpha *. g.(i))) in
-            cand.(i) <- ci;
-            gd := !gd +. (g.(i) *. (ci -. x.(i)))
-          done;
-          let fc = f ~mu:mu_final cand in
-          if fc <= fx +. (options.armijo_c *. !gd) && !gd < 0.0 then fx -. fc
-          else probe (alpha *. options.armijo_shrink) (tries - 1)
-        end
+      let decrease =
+        probe ~tries:30 ~mu:mu_final c ~lo ~hi ~x ~fx ~g ~cand (fun fc gd ->
+            fc <= fx +. (armijo_c *. gd) && gd < 0.0)
       in
-      let decrease = probe 1.0 30 in
       (* Skip only when the probe cannot decrease the objective by more
          than the stages' own relative stall tolerance — i.e. [x0]
          already satisfies the stopping criterion the skipped stages
@@ -553,7 +549,7 @@ let run ~options ~obs ?x0 name c ~lo ~hi =
          1e-4 ·. 0.01 lands a hair above 1e-6 in floats, and an exact
          [<=] would run a whole duplicate stage at ~mu_final. *)
       if !mu <= mu_final *. 1.000001 then continue := false
-      else mu := Float.max (!mu *. options.mu_decay) mu_final
+      else mu := Float.max (!mu *. mu_decay) mu_final
     done;
     (* Finish with one exact (subgradient) polishing stage;
        convergence is judged on this final stage (intermediate
@@ -567,23 +563,13 @@ let run ~options ~obs ?x0 name c ~lo ~hi =
        of descent.  Probe for that, and when present re-descend the
        tightest smoothed stage and re-polish, keeping the best exact
        point (two passes bound the cost; in practice one suffices). *)
-    let strict_descent mu =
-      let fx = fg ~mu x in
-      let rec probe alpha tries =
-        if tries = 0 then 0.0
-        else begin
-          for i = 0 to n - 1 do
-            cand.(i) <- clamp1 lo.(i) hi.(i) (x.(i) -. (alpha *. g.(i)))
-          done;
-          let fc = f ~mu cand in
-          if fc < fx then fx -. fc else probe (alpha /. 2.0) (tries - 1)
-        end
-      in
-      (fx, probe 1.0 30)
-    in
     (try
        for _ = 1 to 2 do
-         let fx, d = strict_descent mu_final in
+         let fx = fg ~mu:mu_final x in
+         let d =
+           probe ~tries:30 ~mu:mu_final c ~lo ~hi ~x ~fx ~g ~cand (fun fc _ ->
+               fc < fx)
+         in
          if d <= options.tol *. (1.0 +. Float.abs fx) then raise Exit;
          let best_x = Array.copy x in
          let best_v = f ~mu:0.0 x in

@@ -20,17 +20,17 @@
     the independent reference a solve's result is checked against.
 
     Every stage is a projected (two-metric) Newton-CG stage.
-    Jacobi-preconditioned conjugate gradients over masked tape
-    Hessian-vector products ({!Tape.hvp_masked}, restricted to the
-    current free set) solve the Newton system on the free (non-bound)
-    variables, cutting the iteration count at tight smoothing
-    temperatures from hundreds to a handful.  At mu = 0 the masked HVP
-    is the generalised Hessian of the active piece, and the
+    Jacobi-preconditioned conjugate gradients over tape Hessian-vector
+    products ({!Tape.hvp}, along directions that are zero on the
+    frozen coordinates) solve the Newton system on the free
+    (non-bound) variables, cutting the iteration count at tight
+    smoothing temperatures from hundreds to a handful.  At mu = 0 the
+    HVP is the generalised Hessian of the active piece, and the
     projected-Newton polish is what pushes a stalled anneal the last
     ~1e-3 to the optimum.
 
     Each Newton step is accepted by an Armijo test along the projected
-    arc [x + α·d], over the step grid α_k = [armijo_shrink]^k,
+    arc [x + α·d], over the step grid α_k = 0.5^k,
     k = 0 … {!grid_steps}−1 ({!grid_search}).  The accepted step falls
     slowly over a solve, so the search starts one grid step above the
     last accepted index — carried across the stages of one solve,
@@ -69,7 +69,18 @@
     temperature is skipped, which makes such re-solves several times
     cheaper: in the [sweep] experiment (Strassen, 3 levels) re-solves
     of the same program from its own optimum run 2.6–2.8× faster than
-    cold ones. *)
+    cold ones.  The stall check, this warm-start probe and the
+    kink-valley escape's probe are one projected-gradient probe: the
+    steps α = 0.5^k from α = 1, accepted on strict descent (the stall
+    check, up to 40 trials; the escape, up to 30) or on the Armijo
+    test (the warm start, up to 30).
+
+    {b Constants.}  The anneal multiplies the temperature by 0.01 per
+    stage; the Armijo test's sufficient-decrease constant is 1e-4 and
+    its step grid halves; a stage runs at most 20 Newton iterations and
+    a Newton system at most 8 CG iterations (and no more than there
+    are variables).  Only the four {!options} fields vary between
+    callers. *)
 
 type problem = {
   objective : Expr.t;
@@ -83,13 +94,6 @@ type options = {
   mu_init : float;        (** initial smoothing temperature, as a
                               fraction of the initial objective value *)
   mu_final : float;       (** final temperature (same scaling) *)
-  mu_decay : float;       (** multiplicative decay per stage, in (0,1) *)
-  armijo_c : float;       (** sufficient-decrease constant *)
-  armijo_shrink : float;  (** backtracking factor and step-grid ratio
-                              ({!grid_search}), in (0,1) *)
-  newton_max_iters : int; (** outer Newton iterations per stage *)
-  cg_max_iters : int;     (** CG iterations per Newton system (also
-                              capped at the variable count) *)
   precondition : bool;
       (** Jacobi-precondition the Newton-CG inner solves with the
           tape's Gauss–Newton Hessian diagonal ({!Tape.hess_diag},
@@ -100,16 +104,12 @@ type options = {
 }
 
 val default_options : options
-
-val add_key : Buffer.t -> options -> unit
-(** Append the exact bits of every option to a cache key, as
-    {!Costmodel.Params.add_key} does for the cost constants: two option
-    records append the same bytes exactly when every field is equal,
-    floats bit for bit. *)
+(** [tol] 1e-6, [mu_init] 1e-2, [mu_final] 1e-6, [precondition] on: the
+    options of every plan. *)
 
 val grid_steps : int
 (** Length of the Armijo step grid: indices k = 0 … [grid_steps]−1
-    stand for the steps α_k = [armijo_shrink]^k (40 indices). *)
+    stand for the steps α_k = 0.5^k (40 indices). *)
 
 val grid_search : start:int -> (int -> bool) -> int option
 (** [grid_search ~start accept] is the arc search of every Newton step,
@@ -180,11 +180,13 @@ val solve_compiled :
     {!Expr.t} anywhere.  This is the plan path: the allocator emits its
     tape straight from the MDG and solves it here.  Behaves exactly as
     {!solve} on an objective that compiles to the same tape — same iterates, counts
-    and telemetry.  Raises [Invalid_argument] if the box is empty,
-    dimensions disagree, the tape references variables outside the
-    box ({!Tape.n_vars}), or [options.mu_decay] or
-    [options.armijo_shrink] lies outside (0, 1) (the message names the
-    field). *)
+    and telemetry.  Raises [Invalid_argument], before any stage runs,
+    if the box is empty or has a NaN bound, dimensions disagree, the
+    tape references variables outside the box ({!Tape.n_vars}), the
+    start point (the projected [x0], or the box centre) has a NaN
+    coordinate, or [options.tol], [options.mu_init] or
+    [options.mu_final] is not positive and finite (the message names
+    the field). *)
 
 val solve :
   ?options:options ->
@@ -198,11 +200,9 @@ val solve :
     temperature, all earlier annealing stages are skipped; and the
     result is never worse than [x0] itself — if the staged solve ends
     above the (projected) starting point, the starting point is
-    returned.  Raises
-    [Invalid_argument] if the box is empty, dimensions disagree, the
-    objective references variables outside the box, or
-    [options.mu_decay] or [options.armijo_shrink] lies outside (0, 1)
-    (the message names the field).
+    returned.  Raises [Invalid_argument] as {!solve_compiled} does,
+    with the objective's variables ({!Expr.max_var}) in place of the
+    tape's.
 
     With a live [obs] sink (default {!Obs.null}: no overhead) the
     solve is wrapped in a ["solver.solve"] span and every smoothing

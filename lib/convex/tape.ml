@@ -54,9 +54,6 @@ type workspace = {
      and [sel] hold while [holding]. *)
   held : float array;
   mutable holding : bool;
-  (* The mu and free set of the last [hvp_mask]. *)
-  mutable mask_mu : float;
-  mask_free : bool array;
 }
 
 (* The builder writes each slot and its term/child segment straight
@@ -579,8 +576,6 @@ let create_workspace t =
     sel = Array.make n (-1);
     held = Array.make (t.n_vars + 1) 0.0;
     holding = false;
-    mask_mu = 0.0;
-    mask_free = Array.make (Int.max 1 t.n_vars) false;
   }
 
 let check_dim name t x =
@@ -813,14 +808,17 @@ let eval_grad ?(mu = 0.0) t ws ~x ~grad =
 
 (* The HVP is forward-over-reverse: a tangent pass, then the adjoint
    tangents.  {!eval_hvp} runs them around its forward and reverse
-   sweeps; {!hvp_masked} runs them alone, on the values and adjoints
-   of the preceding {!eval_grad}. *)
+   sweeps; {!hvp} runs them alone, on the values and adjoints of the
+   preceding {!eval_grad}.  Both passes read the mu of the last
+   forward sweep, the held one: a forward sweep at [mu] leaves [mu]'s
+   bits there, whether it ran or the workspace held its point. *)
 
 (* The tangent pass along [dx], reading the values, weights and
    selections of the forward sweep at the same point: [ws.vd.(k)]
    becomes the directional derivative of slot [k] and, for smoothed
    maxima, [ws.wd.(j)] the tangent of weight [ws.w.(j)]. *)
-let tangents ~mu t ws dx =
+let tangents t ws dx =
+  let mu = ws.held.(t.n_vars) in
   let v = ws.v and w = ws.w and md = ws.md and vd = ws.vd and wd = ws.wd in
   let opa = t.op and loa = t.lo and hia = t.hi and ca = t.c in
   let tv = t.term_var and te = t.term_expt and mono = t.mono in
@@ -879,7 +877,8 @@ let tangents ~mu t ws dx =
    the same point: adjoint tangents [ws.adjd] from the root down
    through the other block, reading the adjoints [ws.adj], then each
    term's share of the product, which [hvp] is overwritten with. *)
-let adjoint_tangents ~mu t ws hvp =
+let adjoint_tangents t ws hvp =
+  let mu = ws.held.(t.n_vars) in
   let v = ws.v and adj = ws.adj and w = ws.w and vd = ws.vd in
   let adjd = ws.adjd and wd = ws.wd in
   let opa = t.op and loa = t.lo and hia = t.hi and ca = t.c in
@@ -939,34 +938,21 @@ let eval_hvp ?(mu = 0.0) t ws ~x ~dx ~grad ~hvp =
   if Vec.dim grad <> Vec.dim x || Vec.dim hvp <> Vec.dim x then
     invalid_arg "Tape.eval_hvp: grad/hvp/x dimension mismatch";
   let value = forward ~mu t ws x in
-  tangents ~mu t ws dx;
+  tangents t ws dx;
   reverse ~mu t ws grad;
-  adjoint_tangents ~mu t ws hvp;
+  adjoint_tangents t ws hvp;
   value
 
-(* ------------------------------------------------------------------ *)
-(* HVPs on the active face                                             *)
-(* ------------------------------------------------------------------ *)
-
-let hvp_mask ?(mu = 0.0) t ws ~free =
-  if Array.length free < t.n_vars then
-    invalid_arg "Tape.hvp_mask: free/x dimension mismatch";
-  ws.mask_mu <- mu;
-  Array.blit free 0 ws.mask_free 0 t.n_vars
-
-let hvp_masked t ws ~x ~dx ~hvp =
-  check_dim "hvp_masked" t x;
-  if Vec.dim dx <> Vec.dim x then
-    invalid_arg "Tape.hvp_masked: dx/x dimension mismatch";
-  if Vec.dim hvp <> Vec.dim x then
-    invalid_arg "Tape.hvp_masked: hvp/x dimension mismatch";
-  let mu = ws.mask_mu in
-  tangents ~mu t ws dx;
-  adjoint_tangents ~mu t ws hvp;
-  let free = ws.mask_free in
-  for i = 0 to t.n_vars - 1 do
-    if not free.%(i) then hvp.%(i) <- 0.0
-  done
+(* The two HVP passes alone: the tangent pass reads only the forward
+   sweep's values, weights and selections, and the reverse sweep
+   writes only the adjoints and the gradient, so after {!eval_grad}
+   this is {!eval_hvp}'s product bit for bit. *)
+let hvp t ws ~dx ~hvp =
+  check_dim "hvp" t dx;
+  if Vec.dim hvp <> Vec.dim dx then
+    invalid_arg "Tape.hvp: hvp/dx dimension mismatch";
+  tangents t ws dx;
+  adjoint_tangents t ws hvp
 
 (* ------------------------------------------------------------------ *)
 (* Gauss–Newton diagonal                                               *)

@@ -44,9 +44,8 @@
     {!eval_grad} at the held point run no forward sweep: [eval] returns the held value and
     [eval_grad] runs the reverse sweep alone.  So a solver that accepts
     the point of its last trial evaluation pays only the reverse sweep
-    for the gradient there.  {!eval_hvp} holds its own point;
-    {!hvp_mask}, {!hvp_masked} and {!hess_diag} leave the held point
-    as it is.
+    for the gradient there.  {!eval_hvp} holds its own point; {!hvp}
+    and {!hess_diag} leave the held point as it is.
 
     Two front ends write tapes through one {!Builder}:
     - {!compile} walks an {!Expr} DAG once: constant subtrees are
@@ -195,46 +194,31 @@ val eval_hvp :
     max differentiates through its first maximising branch, matching
     the subgradient tie-break).
 
-    {!hvp_masked} runs the same two passes without the sweeps; the
-    solver calls that, not this. *)
+    {!hvp} runs the same two passes without the sweeps; the solver
+    calls that, not this. *)
 
-(** {1 Hessian-vector products on the active face}
+(** {1 Hessian-vector products after a gradient}
 
-    Inside projected Newton-CG the coordinates on box faces are
-    frozen: each Newton system is solved on the free coordinates,
-    along directions that are zero on the frozen ones, and its CG loop
-    asks for many products at the point of one gradient.  So
-    [hvp_masked] runs only the tangent and adjoint-tangent passes of
-    {!eval_hvp}, over the whole tape, on the values, softmax weights,
-    max selections and adjoints that the gradient sweep left in the
-    workspace.  On the free coordinates its result is {!eval_hvp}'s
-    [hvp] at that point along the same [dx], bit for bit; the frozen
-    coordinates are returned as zero.
+    Inside projected Newton-CG each Newton system's CG loop asks for
+    many products at the point of one gradient.  So [hvp] runs only
+    the tangent and adjoint-tangent passes of {!eval_hvp}, over the
+    whole tape, on the values, softmax weights, max selections and
+    adjoints that the last {!eval_grad} left in the workspace, at the
+    [mu] of that sweep: the held [mu].
 
-    Protocol: call {!eval_grad} at the point [x] with the same [mu],
-    then [hvp_mask], then any number of [hvp_masked] calls — with no
-    other sweep through the same workspace in between.  An {!eval} or
-    {!eval_grad} at the held point runs no forward sweep, so it keeps
-    the protocol. *)
+    Protocol: call {!eval_grad} at the point of interest, then any
+    number of [hvp] calls, with no other sweep through the same
+    workspace in between.  An {!eval} or {!eval_grad} at the held
+    point runs no forward sweep, so it keeps the protocol. *)
 
-val hvp_mask : ?mu:float -> t -> workspace -> free:bool array -> unit
-(** Record [mu] and the free set for the following {!hvp_masked}
-    calls.  [free] must cover all tape variables.  Requires a
-    preceding {!eval_grad} with the same [mu] on this workspace. *)
-
-val hvp_masked :
-  t ->
-  workspace ->
-  x:Numeric.Vec.t ->
-  dx:Numeric.Vec.t ->
-  hvp:Numeric.Vec.t ->
-  unit
-(** Overwrite [hvp] with [H(x)·dx] on the free coordinates of the last
-    {!hvp_mask} and with zero on the others.  [x] must be the point of
-    the preparing {!eval_grad}.  [dx]'s frozen entries enter the
-    product as they do in {!eval_hvp}, so a direction that is zero on
-    them gives the Hessian restricted to the free set.  O(|tape|) per
-    call, allocation-free. *)
+val hvp : t -> workspace -> dx:Numeric.Vec.t -> hvp:Numeric.Vec.t -> unit
+(** Overwrite [hvp] with [H(x)·dx] at the point [x] and the [mu] of
+    the last {!eval_grad} on this workspace: {!eval_hvp}'s [hvp] at
+    that point along the same [dx], bit for bit.  There is no free
+    set: a caller restricting the Hessian to one passes a [dx] that is
+    zero off it and zeroes the result there itself.  O(|tape|) per
+    call, allocation-free.  Raises [Invalid_argument] if [dx] is
+    shorter than {!n_vars} or [hvp] and [dx] differ in dimension. *)
 
 val hess_diag : t -> workspace -> diag:Numeric.Vec.t -> unit
 (** Overwrite [diag] with the Gauss–Newton diagonal of the Hessian at

@@ -63,10 +63,12 @@ val solve :
   procs:int ->
   result
 (** Solve the allocation problem.  Raises [Invalid_argument] if the
-    graph is not normalised or [procs < 1]; raises [Not_found] if the
-    parameter set lacks processing entries for a kernel in the
-    graph.  [obs] (default {!Obs.null}) receives the underlying
-    solver's convergence telemetry — see {!Convex.Solver.solve}.
+    graph is not normalised or [procs < 1], or if the solver rejects
+    [options] or [x0] ({!Convex.Solver.solve_compiled}); raises
+    [Not_found] if the parameter set lacks processing entries for a
+    kernel in the graph.  [obs] (default {!Obs.null}) receives the
+    underlying solver's convergence telemetry — see
+    {!Convex.Solver.solve}.
 
     [x0] warm-starts the solver in log-space ([x0.(i) = ln p_i],
     typically [Array.map log previous.alloc]): across parameter or

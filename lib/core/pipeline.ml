@@ -1,21 +1,13 @@
 module G = Mdg.Graph
 
 type config = {
-  solver_options : Convex.Solver.options;
   psa_options : Psa.options;
   obs : Obs.t;
   cache : Plan_cache.t option;
 }
 
 let default_config =
-  {
-    solver_options = Convex.Solver.default_options;
-    psa_options = Psa.default_options;
-    obs = Obs.null;
-    cache = None;
-  }
-
-let with_solver_options solver_options config = { config with solver_options }
+  { psa_options = Psa.default_options; obs = Obs.null; cache = None }
 
 let with_psa_options psa_options config = { config with psa_options }
 
@@ -110,10 +102,7 @@ let emit_cache_counter obs outcome =
    one solve; its leader runs the cold solve an uncached plan runs and
    stores the result. *)
 let solve_cached config cache (req : request) g =
-  let key =
-    Plan_cache.key ~options:config.solver_options req.params g
-      ~procs:req.procs
-  in
+  let key = Plan_cache.key req.params g ~procs:req.procs in
   let obs = config.obs in
   let allocation, outcome =
     match Plan_cache.warm cache key with
@@ -122,8 +111,7 @@ let solve_cached config cache (req : request) g =
     | None -> (
         let leader () =
           let allocation =
-            Allocation.solve ~options:config.solver_options ~obs req.params g
-              ~procs:req.procs
+            Allocation.solve ~obs req.params g ~procs:req.procs
           in
           Plan_cache.store_warm cache key allocation;
           allocation
@@ -154,8 +142,7 @@ let plan ?(config = default_config) (req : request) =
             match config.cache with
             | Some cache -> solve_cached config cache req g
             | None ->
-                ( Allocation.solve ~options:config.solver_options ~obs
-                    req.params g ~procs:req.procs,
+                ( Allocation.solve ~obs req.params g ~procs:req.procs,
                   no_cache ))
       with
       | exception Invalid_argument msg -> Result.Error (Invalid_request msg)

@@ -17,8 +17,8 @@
     baseline the paper compares against.
 
     Every entry point is parameterised by a single {!config} record
-    carrying the solver options, PSA options, the telemetry sink and
-    (optionally) the shared {!Plan_cache} — build one from
+    carrying the PSA options, the telemetry sink and (optionally) the
+    shared {!Plan_cache} — build one from
     {!default_config} with the [with_*] combinators:
 
     {[
@@ -34,8 +34,8 @@
 
     With a cache configured, {!plan} keys the last result by the
     request's exact bytes ({!Plan_cache.key}: the normalised graph
-    without labels, the cost constants, [procs] and the config's solver
-    options), compared in full.
+    without labels, the cost constants and [procs]), compared in full.
+    Every plan solves with {!Convex.Solver.default_options}.
     An exact duplicate is answered with the cached allocation outright
     (the solver is deterministic, so re-solving could only reproduce
     it) and emits no tape.  Anything else goes through
@@ -56,7 +56,6 @@
     (MPMD) / pid 2 (SPMD). *)
 
 type config = {
-  solver_options : Convex.Solver.options;
   psa_options : Psa.options;
   obs : Obs.t;
   cache : Plan_cache.t option;
@@ -64,9 +63,7 @@ type config = {
 }
 
 val default_config : config
-(** Default solver and PSA options, {!Obs.null} sink, no cache. *)
-
-val with_solver_options : Convex.Solver.options -> config -> config
+(** Default PSA options, {!Obs.null} sink, no cache. *)
 
 val with_psa_options : Psa.options -> config -> config
 

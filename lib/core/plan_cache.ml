@@ -8,13 +8,12 @@ type key = string
    the server's peak RSS by about 5 %.) *)
 let scratch = Domain.DLS.new_key (fun () -> Buffer.create 4096)
 
-let key ~options params g ~procs =
+let key params g ~procs =
   let b = Domain.DLS.get scratch in
   Buffer.clear b;
   Mdg.Graph.add_key b g;
   Costmodel.Params.add_key b params;
   Buffer.add_int64_le b (Int64.of_int procs);
-  Convex.Solver.add_key b options;
   Buffer.contents b
 
 type stats = {

@@ -13,10 +13,10 @@
     the cache held before.
 
     A key is the request's exact bytes ({!Mdg.Graph.add_key},
-    {!Costmodel.Params.add_key} and [procs]) and the solver options
-    ({!Convex.Solver.add_key}), compared in full; a hash of it only
-    picks the bucket.  So two requests share an entry exactly when they
-    pose the same convex program to the same solver, and a crafted
+    {!Costmodel.Params.add_key} and [procs]), compared in full; a hash
+    of it only picks the bucket.  Every plan solves with
+    {!Convex.Solver.default_options}, so two requests share an entry
+    exactly when they pose the same convex program, and a crafted
     digest collision cannot serve one request another's plan.  The
     graph key ignores node labels, so requests for the same computation
     under different names share entries.  The cache stores the key
@@ -41,14 +41,9 @@ type t
 
 type key = private string
 
-val key :
-  options:Convex.Solver.options ->
-  Costmodel.Params.t ->
-  Mdg.Graph.t ->
-  procs:int ->
-  key
+val key : Costmodel.Params.t -> Mdg.Graph.t -> procs:int -> key
 (** The exact key of planning the (normalised) graph on [procs]
-    processors under the given constants, solved with [options]. *)
+    processors under the given constants. *)
 
 type stats = {
   tape_hits : int;

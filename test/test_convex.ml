@@ -273,39 +273,60 @@ let test_solver_empty_box_rejected () =
     (fun () ->
       ignore (Solver.solve { objective = e; lo = [| 1.0 |]; hi = [| 0.0 |] }))
 
-(* Both solve entry points: each must reject [options] before running
-   a stage. *)
-let check_rejects_option field values with_value =
-  let e =
-    Expr.max_
-      [
-        Expr.term ~coeff:1.0 ~expts:[ (0, 1.0) ];
-        Expr.term ~coeff:1.0 ~expts:[ (0, -1.0) ];
-      ]
-  in
+(* A one-variable max: the anneal has work to do, so a temperature
+   that never reaches [mu_final] used to spin in it forever. *)
+let kinked_max =
+  Expr.max_
+    [
+      Expr.term ~coeff:1.0 ~expts:[ (0, 1.0) ];
+      Expr.term ~coeff:1.0 ~expts:[ (0, -1.0) ];
+    ]
+
+(* Both solve entry points must raise [msg entry] before running a
+   stage. *)
+let check_both_reject ?options ?x0 what msg ~lo ~hi =
+  Alcotest.check_raises (what ^ ", solve")
+    (Invalid_argument (msg "Solver.solve")) (fun () ->
+      ignore (Solver.solve ?options ?x0 { objective = kinked_max; lo; hi }));
+  Alcotest.check_raises (what ^ ", solve_compiled")
+    (Invalid_argument (msg "Solver.solve_compiled")) (fun () ->
+      let c = Solver.compile kinked_max in
+      ignore (Solver.solve_compiled ?options ?x0 c ~lo ~hi))
+
+(* NaN or +inf mu_init, and NaN or negative mu_final, used to hang the
+   anneal; 0 and non-finite tol are rejected alike. *)
+let test_solver_rejects_options () =
   let lo, hi = box 1 (-2.0) 2.0 in
-  let msg entry = Printf.sprintf "%s: options.%s must lie in (0, 1)" entry field in
   List.iter
-    (fun v ->
-      let options = with_value v in
-      let label entry = Printf.sprintf "%s %s = %g" entry field v in
-      Alcotest.check_raises (label "solve")
-        (Invalid_argument (msg "Solver.solve")) (fun () ->
-          ignore (Solver.solve ~options { objective = e; lo; hi }));
-      Alcotest.check_raises (label "solve_compiled")
-        (Invalid_argument (msg "Solver.solve_compiled")) (fun () ->
-          ignore (Solver.solve_compiled ~options (Solver.compile e) ~lo ~hi)))
-    values
+    (fun (field, with_value) ->
+      let msg entry =
+        Printf.sprintf "%s: options.%s must be positive and finite" entry field
+      in
+      List.iter
+        (fun v ->
+          check_both_reject ~options:(with_value v)
+            (Printf.sprintf "%s = %g" field v)
+            msg ~lo ~hi)
+        [ 0.0; -1e-6; Float.nan; Float.infinity ])
+    [
+      ("tol", fun v -> { Solver.default_options with tol = v });
+      ("mu_init", fun v -> { Solver.default_options with mu_init = v });
+      ("mu_final", fun v -> { Solver.default_options with mu_final = v });
+    ]
 
-let test_solver_rejects_mu_decay () =
-  (* mu_decay = 1 never shrinks the temperature, so this one-variable
-     max solve used to spin in the anneal forever. *)
-  check_rejects_option "mu_decay" [ 1.0; 0.0; 1.5; -0.5; Float.nan ] (fun v ->
-      { Solver.default_options with mu_decay = v })
-
-let test_solver_rejects_armijo_shrink () =
-  check_rejects_option "armijo_shrink" [ 1.0; 0.0; 2.0; -0.5; Float.nan ]
-    (fun v -> { Solver.default_options with armijo_shrink = v })
+(* A NaN bound, a NaN x0 and a box whose centre is NaN each made the
+   scaled temperatures NaN, and the anneal never ended. *)
+let test_solver_rejects_nan_start () =
+  let lo, hi = box 1 (-2.0) 2.0 in
+  let nan_bound entry = entry ^ ": NaN bound" in
+  check_both_reject "NaN lo" nan_bound ~lo:[| Float.nan |] ~hi;
+  check_both_reject "NaN hi" nan_bound ~lo ~hi:[| Float.nan |];
+  check_both_reject ~x0:[| Float.nan |] "NaN x0"
+    (fun entry -> entry ^ ": x0 has a NaN coordinate")
+    ~lo ~hi;
+  check_both_reject "unbounded box"
+    (fun entry -> entry ^ ": the box centre has a NaN coordinate")
+    ~lo:[| Float.neg_infinity |] ~hi:[| Float.infinity |]
 
 let prop_solver_beats_random_points =
   (* Global optimality: no random feasible point does better. *)
@@ -361,8 +382,8 @@ let suite =
     Alcotest.test_case "solver: rejects empty box" `Quick
       test_solver_empty_box_rejected;
     QCheck_alcotest.to_alcotest prop_solver_beats_random_points;
-    Alcotest.test_case "solver: rejects mu_decay outside (0, 1)" `Quick
-      test_solver_rejects_mu_decay;
-    Alcotest.test_case "solver: rejects armijo_shrink outside (0, 1)" `Quick
-      test_solver_rejects_armijo_shrink;
+    Alcotest.test_case "solver: rejects options not positive and finite"
+      `Quick test_solver_rejects_options;
+    Alcotest.test_case "solver: rejects a NaN bound or start point" `Quick
+      test_solver_rejects_nan_start;
   ]

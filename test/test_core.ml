@@ -151,6 +151,23 @@ let test_allocation_requires_normalised () =
     (Invalid_argument "Allocation: graph must be normalised (unique START/STOP)")
     (fun () -> ignore (Allocation.solve (synth_params ()) g ~procs:4))
 
+(* Allocation.solve builds its own finite box, so only the options and
+   x0 can reach the solver's checks; each used to hang the anneal. *)
+let test_allocation_rejects_solver_inputs () =
+  let g = transfer_graph () in
+  let n = G.num_nodes g in
+  let solve ?options ?x0 () =
+    ignore (Allocation.solve ?options ?x0 (synth_params ()) g ~procs:8)
+  in
+  Alcotest.check_raises "NaN mu_init"
+    (Invalid_argument
+       "Solver.solve_compiled: options.mu_init must be positive and finite")
+    (solve
+       ~options:{ Convex.Solver.default_options with mu_init = Float.nan });
+  Alcotest.check_raises "NaN x0"
+    (Invalid_argument "Solver.solve_compiled: x0 has a NaN coordinate")
+    (solve ~x0:(Array.make n Float.nan))
+
 let test_allocation_within_box () =
   let g = transfer_graph () in
   let r = Allocation.solve (synth_params ()) g ~procs:8 in
@@ -701,6 +718,8 @@ let suite =
     Alcotest.test_case "bounds: validation" `Quick test_bounds_validation;
     Alcotest.test_case "allocation: requires normalised graph" `Quick
       test_allocation_requires_normalised;
+    Alcotest.test_case "allocation: rejects NaN solver options and x0" `Quick
+      test_allocation_rejects_solver_inputs;
     Alcotest.test_case "allocation: within box + converged" `Quick
       test_allocation_within_box;
     Alcotest.test_case "allocation: phi = max(avg, cp)" `Quick

@@ -63,15 +63,7 @@ let test_recursive_schedulable () =
       ~procs:[ 1; 2; 4; 8; 16; 32; 64 ]
       (Kernels.Strassen_mdg.kernels_recursive ~levels:2 ~n:128)
   in
-  (* A low-effort solve suffices: this test validates schedulability
-     and simulation of the big graph, not allocation optimality. *)
-  let config =
-    Core.Pipeline.(
-      default_config
-      |> with_solver_options
-           { Convex.Solver.default_options with mu_final = 1e-3 })
-  in
-  let plan = Core.Pipeline.plan_exn ~config params g ~procs:64 in
+  let plan = Core.Pipeline.plan_exn params g ~procs:64 in
   (match Core.Schedule.validate params plan.graph plan.psa.schedule with
   | Ok () -> ()
   | Error msgs -> Alcotest.fail (String.concat "; " msgs));

@@ -3,8 +3,8 @@
    of the tape gradient on random posynomial-with-max DAGs, the induced
    bilinear form is symmetric, and the value/gradient computed alongside
    the product agree exactly with the plain evaluation sweeps.  The
-   dense product is in turn the reference for the solver's masked
-   active-face HVP (Tape.hvp_masked). *)
+   self-contained product is in turn the reference for the solver's
+   HVP after a gradient sweep (Tape.hvp). *)
 
 open Convex
 module Vec = Numeric.Vec
@@ -114,8 +114,7 @@ let prop_hvp_value_grad_consistent ~mu =
       v = v' && Array.for_all2 (fun a b -> a = b) grad g')
 
 (* Wide random DAGs over four variables: fat sums and maxima of 60-120
-   posynomial terms each, many of which read only frozen variables
-   under a random free set and so fall outside the mask. *)
+   posynomial terms each. *)
 let wide_nvars = 4
 
 let wide_expr_gen =
@@ -148,36 +147,28 @@ let wide_expr_gen =
   let* mix = fat term in
   return (Expr.sum [ layer1; layer2; mix ])
 
-let prop_masked_matches_dense =
-  QCheck.Test.make ~name:"masked HVP = dense HVP on free coordinates"
+let prop_hvp_after_grad_matches_eval_hvp =
+  QCheck.Test.make ~name:"hvp after eval_grad = eval_hvp, bit for bit"
     ~count:100
     QCheck.(
       make
         Gen.(
-          quad wide_expr_gen (point_of wide_nvars)
-            (pair (dir_of wide_nvars) (array_size (return wide_nvars) bool))
+          quad wide_expr_gen (point_of wide_nvars) (dir_of wide_nvars)
             (oneofl [ 0.0; 0.05; 1.0 ])))
-    (fun (e, x, (dx0, free), mu) ->
+    (fun (e, x, dx, mu) ->
       let t = Tape.compile e in
-      (* The Newton-CG caller's contract: tangent directions live in
-         the free subspace. *)
-      let dx = Array.mapi (fun i d -> if free.(i) then d else 0.0) dx0 in
+      let bits = Int64.bits_of_float in
       let dense_ws = Tape.create_workspace t in
       let gd = Vec.create wide_nvars 0.0 and hd = Vec.create wide_nvars 0.0 in
       ignore (Tape.eval_hvp ~mu t dense_ws ~x ~dx ~grad:gd ~hvp:hd);
       let ws = Tape.create_workspace t in
       let g = Vec.create wide_nvars 0.0 and h = Vec.create wide_nvars 0.0 in
       ignore (Tape.eval_grad ~mu t ws ~x ~grad:g);
-      Tape.hvp_mask ~mu t ws ~free;
-      Tape.hvp_masked t ws ~x ~dx ~hvp:h;
-      let ok = ref true in
-      for i = 0 to wide_nvars - 1 do
-        if free.(i) && not (Float.equal h.(i) hd.(i)) then ok := false
-      done;
-      if not !ok then
-        QCheck.Test.fail_reportf
-          "masked HVP diverged from dense (mu=%g, slots=%d)" mu
-          (Tape.num_slots t)
+      Tape.hvp t ws ~dx ~hvp:h;
+      if not (Array.for_all2 (fun a b -> Int64.equal (bits a) (bits b)) h hd)
+      then
+        QCheck.Test.fail_reportf "hvp diverged from eval_hvp (mu=%g, slots=%d)"
+          mu (Tape.num_slots t)
       else true)
 
 let suite =
@@ -190,5 +181,5 @@ let suite =
       prop_hvp_value_grad_consistent ~mu:1.0;
       prop_hvp_value_grad_consistent ~mu:0.05;
       prop_hvp_value_grad_consistent ~mu:0.0;
-      prop_masked_matches_dense;
+      prop_hvp_after_grad_matches_eval_hvp;
     ]

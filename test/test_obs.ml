@@ -389,11 +389,7 @@ let test_traced_strassen2_pipeline () =
   in
   let recorder = Obs.Recorder.create () in
   let config =
-    Core.Pipeline.(
-      default_config
-      |> with_solver_options
-           { Convex.Solver.default_options with mu_final = 1e-3 }
-      |> with_obs (Obs.Recorder.sink recorder))
+    Core.Pipeline.(default_config |> with_obs (Obs.Recorder.sink recorder))
   in
   let plan = Core.Pipeline.plan_exn ~config params g ~procs:16 in
   (* The traced run must still produce a valid schedule: telemetry is

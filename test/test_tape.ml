@@ -409,15 +409,14 @@ let test_tape_warm_gradient_no_alloc () =
   let x = [| 0.2; -0.4; 0.6 |] and x' = [| 0.1; 0.3; -0.2 |] in
   let dx = [| 0.5; -1.0; 0.25 |] in
   let grad = Array.make nvars 0.0 and hvp = Array.make nvars 0.0 in
-  let free_a = [| true; false; true |] and free_b = [| true; true; false |] in
-  (* Minor words per call of [f i], i = 1..calls, after a warm-up
-     call [f 0]. *)
+  (* Minor words per call of [f], over 200 calls after a warm-up
+     call. *)
   let words_per_call ?(calls_per_f = 1) f =
     let calls = 200 in
-    f 0;
+    f ();
     let words_before = Gc.minor_words () in
-    for i = 1 to calls do
-      f i
+    for _ = 1 to calls do
+      f ()
     done;
     (Gc.minor_words () -. words_before) /. float_of_int (calls_per_f * calls)
   in
@@ -429,23 +428,18 @@ let test_tape_warm_gradient_no_alloc () =
      Each misses the held point: the third evaluates at a second
      point, so it sweeps as the first two do. *)
   check "sweep"
-    (words_per_call ~calls_per_f:3 (fun _ ->
+    (words_per_call ~calls_per_f:3 (fun () ->
          ignore (Tape.eval_grad tape ws ~x ~grad);
          ignore (Tape.eval_grad ~mu:0.01 tape ws ~x ~grad);
          ignore (Tape.eval ~mu:0.01 tape ws x')));
   (* Each call that runs no forward sweep, under its own bound. *)
   ignore (Tape.eval_grad ~mu:0.01 tape ws ~x ~grad);
   check "held-point eval"
-    (words_per_call (fun _ -> ignore (Tape.eval ~mu:0.01 tape ws x)));
+    (words_per_call (fun () -> ignore (Tape.eval ~mu:0.01 tape ws x)));
   check "held-point eval_grad"
-    (words_per_call (fun _ ->
+    (words_per_call (fun () ->
          ignore (Tape.eval_grad ~mu:0.01 tape ws ~x ~grad)));
-  check "hvp_mask"
-    (words_per_call (fun i ->
-         let free = if i land 1 = 0 then free_a else free_b in
-         Tape.hvp_mask ~mu:0.01 tape ws ~free));
-  check "hvp_masked"
-    (words_per_call (fun _ -> Tape.hvp_masked tape ws ~x ~dx ~hvp))
+  check "hvp" (words_per_call (fun () -> Tape.hvp tape ws ~dx ~hvp))
 
 (* ------------------------------------------------------------------ *)
 (* End-to-end: the tape solve against the Expr reference               *)
@@ -532,19 +526,19 @@ type held_call =
   | Eval of int * int  (* point, mu *)
   | Grad of int * int
   | Hvp of int * int * int  (* point, mu, direction *)
-  | Masked of int * int * int * int  (* point, mu, free set, direction *)
+  | Grad_hvp of int * int * int  (* point, mu, direction *)
 
 let held_call_print = function
   | Eval (p, m) -> Printf.sprintf "eval p%d mu%d" p m
   | Grad (p, m) -> Printf.sprintf "eval_grad p%d mu%d" p m
   | Hvp (p, m, d) -> Printf.sprintf "eval_hvp p%d mu%d d%d" p m d
-  | Masked (p, m, f, d) -> Printf.sprintf "hvp_masked p%d mu%d f%d d%d" p m f d
+  | Grad_hvp (p, m, d) -> Printf.sprintf "eval_grad+hvp p%d mu%d d%d" p m d
 
 let held_call_gen =
   let open QCheck.Gen in
   let* p = int_range 0 4 and* m = int_range 0 3 in
-  let* d = int_range 0 1 and* f = int_range 0 1 in
-  oneofl [ Eval (p, m); Grad (p, m); Hvp (p, m, d); Masked (p, m, f, d) ]
+  let* d = int_range 0 1 in
+  oneofl [ Eval (p, m); Grad (p, m); Hvp (p, m, d); Grad_hvp (p, m, d) ]
 
 let prop_held_point_is_fresh =
   QCheck.Test.make
@@ -570,10 +564,6 @@ let prop_held_point_is_fresh =
       nan.(top) <- Float.nan;
       let points = [| p0; ulp; nan; draw (); draw () |] in
       let dirs = [| draw (); draw () |] in
-      let frees =
-        Array.init 2 (fun _ ->
-            Array.init n (fun _ -> Random.State.int rng 3 > 0))
-      in
       let scale = Tape.eval tape (Tape.create_workspace tape) p0 in
       let mus = [| 0.0; -0.0; 1e-3 *. scale; 0.05 *. scale |] in
       let ws = Tape.create_workspace tape in
@@ -603,12 +593,12 @@ let prop_held_point_is_fresh =
                       ~dx:dirs.(d) ~grad ~hvp
                   in
                   (v, Array.append grad hvp))
-          | Masked (p, m, f, d) ->
+          | Grad_hvp (p, m, d) ->
               agree (fun ws ->
-                  let x = points.(p) and mu = mus.(m) in
-                  let v = Tape.eval_grad ~mu tape ws ~x ~grad in
-                  Tape.hvp_mask ~mu tape ws ~free:frees.(f);
-                  Tape.hvp_masked tape ws ~x ~dx:dirs.(d) ~hvp;
+                  let v =
+                    Tape.eval_grad ~mu:mus.(m) tape ws ~x:points.(p) ~grad
+                  in
+                  Tape.hvp tape ws ~dx:dirs.(d) ~hvp;
                   (v, Array.append grad hvp)))
         calls)
 
