@@ -32,6 +32,37 @@ let micro_tests () =
   let cm_prog = Core.Codegen.mpmd gt cm_graph (Core.Pipeline.schedule cm_plan) in
   let mat_a = Kernels.Dense.random_matrix ~seed:1 64 in
   let mat_b = Kernels.Dense.random_matrix ~seed:2 64 in
+  (* One depth-3 plan line, as planbench's serve workloads send it, and
+     the answer a daemon worker gives it once the cache holds it. *)
+  let wire_params =
+    Costmodel.Params.make ~transfer:Costmodel.Params.cm5_transfer
+  in
+  let wire_line =
+    Server.Json.to_string
+      (Server.Protocol.encode_plan_request ~id:(Server.Json.int 1)
+         ~params:wire_params
+         (Workgen.generate
+            (Workgen.spec_of_string_exn
+               "depth=3,branch=3,cutoff=0.15,wiring=0.3")
+            ~seed:5)
+         ~procs:64)
+  in
+  let wire_config =
+    Core.Pipeline.(with_cache (Core.Plan_cache.create ()) default_config)
+  in
+  let answer () =
+    match Server.Protocol.decode_envelope wire_line with
+    | Ok (id, Server.Protocol.Plan_line env) -> (
+        match
+          Server.Daemon.answer_plan wire_config
+            ~default_params:(lazy wire_params) ~id env
+        with
+        | Ok reply -> Server.Json.to_string reply
+        | Error msg -> failwith msg)
+    | _ -> failwith "not a plan line"
+  in
+  (* The miss that stores the entry. *)
+  ignore (answer () : string);
   [
     Test.make ~name:"allocation: complex-mm objective solve (12 nodes)"
       (Staged.stage (fun () ->
@@ -77,6 +108,11 @@ let micro_tests () =
     Test.make ~name:"objective: tape compile (strassen)"
       (let obj = Core.Allocation.objective params st_graph ~procs:64 in
        Staged.stage (fun () -> ignore (Convex.Tape.compile obj)));
+    Test.make ~name:"wire: decode_request, depth-3 plan line"
+      (Staged.stage (fun () ->
+           ignore (Server.Protocol.decode_request wire_line)));
+    Test.make ~name:"wire: exact hit, depth-3 plan line"
+      (Staged.stage (fun () -> ignore (answer ())));
   ]
 
 let run_micro () =

@@ -430,6 +430,16 @@ let run ~options ~obs ?x0 name c ~lo ~hi =
   let f0 = Float.max (Float.abs f_start) 1e-30 in
   let mu_init = options.mu_init *. f0 in
   let mu_final = options.mu_final *. f0 in
+  (* A finite option times a large start value can still overflow, and
+     an infinite temperature never decays to [mu_final]. *)
+  let finite field mu =
+    if not (Float.is_finite mu) then
+      invalid_arg
+        (Printf.sprintf "%s: options.%s scaled by the start value is not finite"
+           name field)
+  in
+  finite "mu_init" mu_init;
+  finite "mu_final" mu_final;
   let total_iters = ref 0 in
   let stages_done = ref 0 in
   let total_hvps = ref 0 in

@@ -184,9 +184,11 @@ val solve_compiled :
     if the box is empty or has a NaN bound, dimensions disagree, the
     tape references variables outside the box ({!Tape.n_vars}), the
     start point (the projected [x0], or the box centre) has a NaN
-    coordinate, or [options.tol], [options.mu_init] or
-    [options.mu_final] is not positive and finite (the message names
-    the field). *)
+    coordinate, [options.tol], [options.mu_init] or
+    [options.mu_final] is not positive and finite, or [options.mu_init]
+    or [options.mu_final] times the objective's magnitude at the start
+    point (the temperature scale) is not finite.  Each message names
+    the field. *)
 
 val solve :
   ?options:options ->

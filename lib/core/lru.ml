@@ -52,6 +52,13 @@ let find t k =
 
 let peek t k = Option.map (fun n -> n.value) (Hashtbl.find_opt t.tbl k)
 
+let find_if t k p =
+  match Hashtbl.find_opt t.tbl k with
+  | Some n when p n.value ->
+      touch t n;
+      Some n.value
+  | Some _ | None -> None
+
 let set t k v =
   match Hashtbl.find_opt t.tbl k with
   | Some n ->

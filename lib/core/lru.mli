@@ -21,6 +21,10 @@ val find : ('k, 'v) t -> 'k -> 'v option
 val peek : ('k, 'v) t -> 'k -> 'v option
 (** Lookup without touching the recency order. *)
 
+val find_if : ('k, 'v) t -> 'k -> ('v -> bool) -> 'v option
+(** {!find} of a binding whose value satisfies the predicate.  A
+    binding that fails it is left where it is, and gives [None]. *)
+
 val set : ('k, 'v) t -> 'k -> 'v -> ('k * 'v) option
 (** Insert or replace, marking the binding most recently used.  When an
     insert would exceed the capacity the least recently used binding is

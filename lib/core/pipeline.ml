@@ -19,9 +19,10 @@ type request = {
   params : Costmodel.Params.t;
   graph : Mdg.Graph.t;
   procs : int;
+  text : string option;
 }
 
-let request params graph ~procs = { params; graph; procs }
+let request ?text params graph ~procs = { params; graph; procs; text }
 
 type error =
   | Invalid_procs of int
@@ -66,7 +67,7 @@ let no_cache = { warm = Off; solve_skipped = false; coalesced = false }
    checks below turn the ones a *well-typed* caller can still hit into
    typed errors up front; anything residual (an impossible internal
    state) stays an exception. *)
-let validate ({ params; graph; procs } : request) =
+let validate ({ params; graph; procs; _ } : request) =
   if procs < 1 then Result.Error (Invalid_procs procs)
   else
     let g = G.normalise graph in
@@ -94,38 +95,85 @@ let emit_cache_counter obs outcome =
         ("coalesced", if outcome.coalesced then 1.0 else 0.0);
       ]
 
+let schedule (config : config) (req : request) g (allocation : Allocation.result) =
+  let obs = config.obs in
+  match
+    Obs.span obs ~cat:"pipeline" "pipeline.schedule" (fun () ->
+        Psa.schedule ~options:config.psa_options ~obs req.params g
+          ~procs:req.procs ~alloc:allocation.alloc)
+  with
+  | psa -> Ok psa
+  | exception Invalid_argument msg -> Result.Error (Invalid_request msg)
+
+let cache_key (req : request) =
+  let text =
+    match req.text with
+    | Some text -> text
+    | None -> Mdg.Serialize.to_string req.graph
+  in
+  Plan_cache.key req.params ~text ~procs:req.procs
+
+let hit = { warm = Hit; solve_skipped = true; coalesced = false }
+
 (* Solve the allocation through the configured cache.  An exact
-   (graph, constants, procs) duplicate is answered with the cached
+   (text, constants, procs) duplicate is answered with the cached
    result outright — the solver is deterministic, so re-solving the
    identical problem could only reproduce it.  Anything else goes
    through the in-flight table, so concurrent identical misses share
-   one solve; its leader runs the cold solve an uncached plan runs and
-   stores the result. *)
+   one solve.  Its leader runs the cold solve an uncached plan runs,
+   then the PSA, and stores both before the flight ends; the PSA's
+   result comes back with the allocation, so the leader's plan does
+   not schedule twice. *)
 let solve_cached config cache (req : request) g =
-  let key = Plan_cache.key req.params g ~procs:req.procs in
+  let key = cache_key req in
   let obs = config.obs in
-  let allocation, outcome =
+  let ((_, outcome, _) as solved) =
     match Plan_cache.warm cache key with
-    | Some allocation ->
-        (allocation, { warm = Hit; solve_skipped = true; coalesced = false })
+    | Some allocation -> (allocation, hit, None)
     | None -> (
+        let scheduled = ref None in
         let leader () =
           let allocation =
             Allocation.solve ~obs req.params g ~procs:req.procs
           in
-          Plan_cache.store_warm cache key allocation;
+          let psa = schedule config req g allocation in
+          scheduled := Some psa;
+          let reply =
+            Result.to_option psa
+            |> Option.map (fun (psa : Psa.result) ->
+                   {
+                     Plan_cache.psa_options = config.psa_options;
+                     t_psa = psa.t_psa;
+                     makespan = Schedule.makespan psa.schedule;
+                     pb = psa.pb;
+                     rounded_alloc = psa.rounded_alloc;
+                   })
+          in
+          Plan_cache.store_warm cache key ?reply allocation;
           allocation
         in
         match Plan_cache.coalesce cache key ~solve:leader with
         | allocation, `Leader ->
             ( allocation,
-              { warm = Miss; solve_skipped = false; coalesced = false } )
+              { warm = Miss; solve_skipped = false; coalesced = false },
+              !scheduled )
         | allocation, `Follower ->
             ( allocation,
-              { warm = Hit; solve_skipped = true; coalesced = true } ))
+              { warm = Hit; solve_skipped = true; coalesced = true },
+              None ))
   in
   emit_cache_counter obs outcome;
-  (allocation, outcome)
+  solved
+
+let exact_hit (config : config) key =
+  match config.cache with
+  | None -> None
+  | Some cache ->
+      let found =
+        Plan_cache.warm_reply cache key ~psa_options:config.psa_options
+      in
+      if Option.is_some found then emit_cache_counter config.obs hit;
+      found
 
 let plan ?(config = default_config) (req : request) =
   let obs = config.obs in
@@ -143,17 +191,19 @@ let plan ?(config = default_config) (req : request) =
             | Some cache -> solve_cached config cache req g
             | None ->
                 ( Allocation.solve ~obs req.params g ~procs:req.procs,
-                  no_cache ))
+                  no_cache,
+                  None ))
       with
       | exception Invalid_argument msg -> Result.Error (Invalid_request msg)
-      | allocation, cache -> (
-          match
-            Obs.span obs ~cat:"pipeline" "pipeline.schedule" (fun () ->
-                Psa.schedule ~options:config.psa_options ~obs req.params g
-                  ~procs:req.procs ~alloc:allocation.alloc)
-          with
-          | exception Invalid_argument msg -> Result.Error (Invalid_request msg)
-          | psa ->
+      | allocation, cache, scheduled -> (
+          let psa =
+            match scheduled with
+            | Some psa -> psa
+            | None -> schedule config req g allocation
+          in
+          match psa with
+          | Error e -> Result.Error e
+          | Ok psa ->
               Ok
                 {
                   graph = g;

@@ -32,17 +32,20 @@
       Pipeline.plan ~config (Pipeline.request params g ~procs)
     ]}
 
-    With a cache configured, {!plan} keys the last result by the
-    request's exact bytes ({!Plan_cache.key}: the normalised graph
-    without labels, the cost constants and [procs]), compared in full.
-    Every plan solves with {!Convex.Solver.default_options}.
-    An exact duplicate is answered with the cached allocation outright
-    (the solver is deterministic, so re-solving could only reproduce
-    it) and emits no tape.  Anything else goes through
-    {!Plan_cache.coalesce}, whose leader runs the same cold solve as an
-    uncached plan and stores the result; concurrent identical requests
-    wait for it instead of solving.  So a plan is the same with or
-    without a cache, whatever the cache held before.
+    With a cache configured, {!plan} keys the result by the request's
+    exact bytes ({!Plan_cache.key}: the MDG text as received, or
+    {!Mdg.Serialize.to_string} of the graph before normalisation, then
+    the cost constants and [procs]), compared in full.  Every plan
+    solves with {!Convex.Solver.default_options}.  An exact duplicate
+    is answered with the cached allocation outright (the solver is
+    deterministic, so re-solving could only reproduce it) and emits no
+    tape.  Anything else goes through {!Plan_cache.coalesce}, whose
+    leader runs the same cold solve as an uncached plan, then the PSA,
+    and stores the allocation with the PSA's reply fields; concurrent
+    identical requests wait for it instead of solving.  So a plan is
+    the same with or without a cache, whatever the cache held before.
+    {!exact_hit} answers a duplicate from the stored fields alone, for
+    the plan server.
 
     The per-request outcome is reported in {!plan.cache}.
 
@@ -77,9 +80,14 @@ type request = {
   params : Costmodel.Params.t;
   graph : Mdg.Graph.t;
   procs : int;
+  text : string option;
+      (** the {!Mdg.Serialize} text [graph] was parsed from, when the
+          caller has it: the cache key takes it as it is instead of
+          serialising [graph] *)
 }
 
-val request : Costmodel.Params.t -> Mdg.Graph.t -> procs:int -> request
+val request :
+  ?text:string -> Costmodel.Params.t -> Mdg.Graph.t -> procs:int -> request
 
 type error =
   | Invalid_procs of int
@@ -141,6 +149,18 @@ val plan : ?config:config -> request -> (plan, error) result
 (** Normalises the graph if necessary, validates the request, solves
     the allocation problem (through the cache when configured) and
     runs the PSA. *)
+
+val exact_hit :
+  config ->
+  Plan_cache.key ->
+  (Allocation.result * Plan_cache.reply_fields) option
+(** The stored allocation and reply fields for [key], when
+    [config]'s cache holds them scheduled under [config.psa_options]
+    ({!Plan_cache.warm_reply}): the plan {!plan} would return, without
+    parsing the graph or running the PSA.  A hit counts as one warm
+    hit and emits the ["pipeline.cache"] counter {!plan} emits for
+    one.  [None] counts nothing: the caller then runs {!plan}.  The
+    arrays are the cache's own: never mutate them. *)
 
 val plan_exn :
   ?config:config ->

@@ -1,20 +1,24 @@
-type key = string
+(* The MDG text is the bulk of a key: a depth-3 text runs to 8 kB.
+   [consts] holds the rest: the cost constants and [procs]. *)
+type key = { text : string; consts : string }
 
-(* Keys of depth-3 MDGs run to a few kB, past the minor heap's object
-   limit, so every buffer a key outgrew would be major-heap garbage on
-   every request.  One scratch buffer per domain, reused, leaves only
-   the key itself; it keeps the size of the largest key the domain
-   built.  (Measured on planbench serve-hit, the fresh buffers raised
-   the server's peak RSS by about 5 %.) *)
-let scratch = Domain.DLS.new_key (fun () -> Buffer.create 4096)
-
-let key params g ~procs =
-  let b = Domain.DLS.get scratch in
-  Buffer.clear b;
-  Mdg.Graph.add_key b g;
+let key params ~text ~procs =
+  let b = Buffer.create 64 in
   Costmodel.Params.add_key b params;
   Buffer.add_int64_le b (Int64.of_int procs);
-  Buffer.contents b
+  { text; consts = Buffer.contents b }
+
+type reply_fields = {
+  psa_options : Psa.options;
+  t_psa : float;
+  makespan : float;
+  pb : int;
+  rounded_alloc : int array;
+}
+
+(* Stored entries are never mutated, so a reader may use one outside
+   the lock. *)
+type entry = { allocation : Allocation.result; reply : reply_fields option }
 
 type stats = {
   tape_hits : int;
@@ -43,9 +47,20 @@ and flight_state =
   | Done of Allocation.result
   | Failed of exn
 
+(* The stored texts, weakly: every entry whose text equals one held
+   here shares that physical string, so an MDG cached under several
+   constant sets or machine sizes costs its text once. *)
+module Texts = Weak.Make (struct
+  type t = string
+
+  let equal = String.equal
+  let hash = Hashtbl.hash
+end)
+
 type t = {
   lock : Mutex.t;
-  warm_exact : (key, Allocation.result) Lru.t;
+  warm_exact : (key, entry) Lru.t;
+  texts : Texts.t;
   inflight : (key, flight) Hashtbl.t;
   mutable warm_hits : int;
   mutable warm_misses : int;
@@ -59,6 +74,7 @@ let create () =
   {
     lock = Mutex.create ();
     warm_exact = Lru.create capacity;
+    texts = Texts.create capacity;
     inflight = Hashtbl.create 16;
     warm_hits = 0;
     warm_misses = 0;
@@ -80,17 +96,42 @@ let copy_result (r : Allocation.result) =
 let warm t key =
   locked t (fun () ->
       match Lru.find t.warm_exact key with
-      | Some r ->
+      | Some e ->
           t.warm_hits <- t.warm_hits + 1;
-          Some (copy_result r)
+          Some (copy_result e.allocation)
       | None ->
           t.warm_misses <- t.warm_misses + 1;
           None)
 
-let store_warm t key result =
-  let result = copy_result result in
+let warm_reply t key ~psa_options =
   locked t (fun () ->
-      ignore (Lru.set t.warm_exact key result : (key * _) option))
+      let fits e =
+        match e.reply with
+        | Some r -> r.psa_options = psa_options
+        | None -> false
+      in
+      match Lru.find_if t.warm_exact key fits with
+      | Some { allocation; reply = Some r } ->
+          t.warm_hits <- t.warm_hits + 1;
+          Some (allocation, r)
+      | Some { reply = None; _ } | None -> None)
+
+let store_warm t key ?reply result =
+  let entry =
+    {
+      allocation = copy_result result;
+      reply =
+        Option.map
+          (fun r -> { r with rounded_alloc = Array.copy r.rounded_alloc })
+          reply;
+    }
+  in
+  locked t (fun () ->
+      let key = { key with text = Texts.merge t.texts key.text } in
+      ignore (Lru.set t.warm_exact key entry : (key * _) option))
+
+let texts t =
+  locked t (fun () -> List.map (fun (k, _) -> k.text) (Lru.to_list t.warm_exact))
 
 (* ------------------------------------------------------------------ *)
 (* Singleflight coalescing                                             *)
@@ -105,12 +146,12 @@ let coalesce t key ~solve =
             `Follow f
         | None -> (
             match Lru.find t.warm_exact key with
-            | Some r ->
+            | Some e ->
                 (* A flight for [key] was stored and published between
                    the caller's [warm] miss and this lock: serve its
                    result instead of solving the key a second time. *)
                 t.coalesce_hits <- t.coalesce_hits + 1;
-                `Served (copy_result r)
+                `Served (copy_result e.allocation)
             | None ->
                 let f =
                   {

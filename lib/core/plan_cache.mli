@@ -12,15 +12,23 @@
     cache is the plan {!Pipeline.plan} computes without one, whatever
     the cache held before.
 
-    A key is the request's exact bytes ({!Mdg.Graph.add_key},
-    {!Costmodel.Params.add_key} and [procs]), compared in full; a hash
-    of it only picks the bucket.  Every plan solves with
-    {!Convex.Solver.default_options}, so two requests share an entry
-    exactly when they pose the same convex program, and a crafted
-    digest collision cannot serve one request another's plan.  The
-    graph key ignores node labels, so requests for the same computation
-    under different names share entries.  The cache stores the key
-    string, never the decoded graph.
+    A key is the request's MDG text ({!Mdg.Serialize}, before
+    normalisation), {!Costmodel.Params.add_key} and [procs], compared
+    in full; a hash of it only picks the bucket.  Every plan solves
+    with {!Convex.Solver.default_options}, so two requests share an
+    entry exactly when they send the same text under the same
+    constants and machine size, and a crafted digest collision cannot
+    serve one request another's plan.  Node labels are part of the
+    text, so the same computation under other names is another key.
+    The cache stores the key, never the decoded graph, and entries
+    with equal texts share one physical string ({!texts}): an MDG
+    cached under several constant sets costs its text once.
+
+    Each entry also keeps the fields a plan reply takes from the PSA
+    ({!reply_fields}), with the PSA options that produced them, so the
+    plan server answers an exact hit from the entry alone: no graph
+    parse, no PSA ({!warm_reply}).  Entries are never mutated once
+    stored.
 
     A second structure, the {b in-flight table}, coalesces concurrent
     identical misses: while one domain is solving a key, every other
@@ -39,11 +47,23 @@
 
 type t
 
-type key = private string
+type key
 
-val key : Costmodel.Params.t -> Mdg.Graph.t -> procs:int -> key
-(** The exact key of planning the (normalised) graph on [procs]
-    processors under the given constants. *)
+val key : Costmodel.Params.t -> text:string -> procs:int -> key
+(** The exact key of planning the MDG [text] on [procs] processors
+    under the given constants.  [text] is the {!Mdg.Serialize} text as
+    a client sent it, or {!Mdg.Serialize.to_string} of a graph before
+    normalisation: the two agree on encoder output. *)
+
+type reply_fields = {
+  psa_options : Psa.options;  (** the options the PSA ran with *)
+  t_psa : float;
+  makespan : float;  (** of the schedule *)
+  pb : int;
+  rounded_alloc : int array;
+}
+(** What a plan reply takes from the PSA, about 0.7 kB for a depth-3
+    MDG; a whole {!Psa.result} with its schedule is 12.7 kB. *)
 
 type stats = {
   tape_hits : int;
@@ -73,11 +93,29 @@ val create : unit -> t
 val warm : t -> key -> Allocation.result option
 (** The result stored under exactly [key], if any: the previous solve's
     full result, reusable verbatim (the solver is deterministic, so
-    re-solving the identical problem could only reproduce it).  Arrays
-    are private copies. *)
+    re-solving the identical problem could only reproduce it).  Counts
+    one warm hit or miss.  Arrays are private copies. *)
 
-val store_warm : t -> key -> Allocation.result -> unit
-(** Record a completed solve under [key]. *)
+val warm_reply :
+  t ->
+  key ->
+  psa_options:Psa.options ->
+  (Allocation.result * reply_fields) option
+(** The entry stored under exactly [key], when it holds reply fields
+    scheduled under [psa_options]: counted as one warm hit, and marked
+    most recently used, as {!warm} does.  Anything else gives [None]
+    and counts nothing, for the caller to go on with {!warm} (through
+    {!Pipeline.plan}).  The arrays are the stored ones, shared with
+    every other reader: never mutate them. *)
+
+val store_warm : t -> key -> ?reply:reply_fields -> Allocation.result -> unit
+(** Record a completed solve under [key], with the reply fields of the
+    PSA run on it when it ran (a failed PSA gives none).  The cache
+    keeps private copies of the arrays. *)
+
+val texts : t -> string list
+(** The MDG text of every stored entry, most recently used first.
+    Equal texts are one physical string. *)
 
 (** {2 Singleflight coalescing}
 

@@ -184,11 +184,10 @@ let hash_kernel h (k : kernel) =
   | Synthetic { alpha; tau } -> F.float (F.float (F.byte h 4) alpha) tau
   | Dummy -> F.byte h 5
 
-(* Structural identity for the plan caches: node kernels (in id order)
-   and the edge relation with its transfer payloads.  Labels are
-   deliberately excluded — they never enter the cost model, so two
-   clients submitting the same computation under different node names
-   share cache entries. *)
+(* A digest of the structure: node kernels (in id order) and the edge
+   relation with its transfer payloads.  Labels are excluded — they
+   never enter the cost model.  A digest can collide, so it only tells
+   workloads apart where a collision is harmless. *)
 let structural_hash g =
   let module F = Numeric.Fnv in
   let h = F.int F.seed (num_nodes g) in
@@ -200,11 +199,9 @@ let structural_hash g =
       F.byte h (match e.kind with Oned -> 1 | Twod -> 2))
     h g.edges
 
-(* The exact form of the data [structural_hash] folds.  Counts, ids and
-   matrix sizes are unsigned LEB128 varints, floats their 8-byte bit
-   patterns, and every variable-length part is preceded by its count,
-   so the encoding is prefix-free: equal bytes mean equal structures,
-   and appending more fields after a graph stays unambiguous. *)
+(* A kernel's exact form: a tag, then matrix sizes as unsigned LEB128
+   varints or floats as their 8-byte bit patterns.  The encoding is
+   prefix-free, so fields appended after a kernel stay unambiguous. *)
 let rec add_uint b n =
   if n land lnot 0x7f = 0 then Buffer.add_uint8 b n
   else (
@@ -229,18 +226,6 @@ let add_kernel_key b (k : kernel) =
       add_float b alpha;
       add_float b tau
   | Dummy -> Buffer.add_uint8 b 5
-
-let add_key b g =
-  add_uint b (num_nodes g);
-  Array.iter (fun nd -> add_kernel_key b nd.kernel) g.nodes;
-  add_uint b (List.length g.edges);
-  List.iter
-    (fun e ->
-      add_uint b e.src;
-      add_uint b e.dst;
-      add_float b e.bytes;
-      Buffer.add_uint8 b (match e.kind with Oned -> 1 | Twod -> 2))
-    g.edges
 
 let kernel_flops = function
   | Matrix_init n -> float_of_int (n * n)

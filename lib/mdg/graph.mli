@@ -113,21 +113,13 @@ val structural_hash : t -> int64
     endpoints, byte count and transfer kind.  Node {e labels are
     excluded}.  Stable across processes and runs.  A digest can
     collide, so it identifies a shape only where a collision is
-    harmless (drawing distinct workloads); cache keys use {!add_key}. *)
-
-val add_key : Buffer.t -> t -> unit
-(** Append the graph's exact key: the data {!structural_hash} digests
-    (node count, per-node kernels in id order, every edge's endpoints,
-    byte-count bit pattern and transfer kind), in a prefix-free
-    encoding.  Two graphs append equal bytes exactly when those data
-    are equal, so equal keys mean identical cost expressions.  Node
-    labels are excluded — they never affect cost — so two requests
-    for the same computation under different names share plan-cache
-    entries. *)
+    harmless (drawing distinct workloads); plan-cache keys use the
+    graph's {!Mdg.Serialize} text. *)
 
 val add_kernel_key : Buffer.t -> kernel -> unit
-(** Append one kernel's tag and payload, as {!add_key} writes it;
-    exposed so cost-model keys encode kernels the same way. *)
+(** Append one kernel's exact form: a tag and its payload (matrix size,
+    or the two constants' bit patterns), prefix-free; cost-model keys
+    ({!Costmodel.Params.add_key}) encode kernels with it. *)
 
 (** {1 Kernel helpers} *)
 

@@ -3,8 +3,7 @@ exception Parse_error of { line : int; message : string }
 let fail line fmt =
   Printf.ksprintf (fun message -> raise (Parse_error { line; message })) fmt
 
-let quote label =
-  let buf = Buffer.create (String.length label + 2) in
+let add_quoted buf label =
   Buffer.add_char buf '"';
   String.iter
     (fun c ->
@@ -14,8 +13,7 @@ let quote label =
       | '\n' -> Buffer.add_string buf "\\n"
       | c -> Buffer.add_char buf c)
     label;
-  Buffer.add_char buf '"';
-  Buffer.contents buf
+  Buffer.add_char buf '"'
 
 (* Parse a trailing quoted string starting at [start]; returns the
    label. *)
@@ -44,12 +42,36 @@ let unquote line lineno start =
   in
   go (start + 1)
 
-let kernel_to_string : Graph.kernel -> string = function
-  | Matrix_init n -> Printf.sprintf "init:%d" n
-  | Matrix_add n -> Printf.sprintf "add:%d" n
-  | Matrix_multiply n -> Printf.sprintf "mul:%d" n
-  | Synthetic { alpha; tau } -> Printf.sprintf "synthetic:%.17g:%.17g" alpha tau
-  | Dummy -> "dummy"
+(* Printf's [%.17g] is this primitive applied to the same format
+   string, so the text is the same without Printf's format
+   interpretation. *)
+external format_float : string -> float -> string = "caml_format_float"
+
+let add_g buf x = Buffer.add_string buf (format_float "%.17g" x)
+
+let add_int buf n = Buffer.add_string buf (Int.to_string n)
+
+let add_kernel buf : Graph.kernel -> unit = function
+  | Matrix_init n ->
+      Buffer.add_string buf "init:";
+      add_int buf n
+  | Matrix_add n ->
+      Buffer.add_string buf "add:";
+      add_int buf n
+  | Matrix_multiply n ->
+      Buffer.add_string buf "mul:";
+      add_int buf n
+  | Synthetic { alpha; tau } ->
+      Buffer.add_string buf "synthetic:";
+      add_g buf alpha;
+      Buffer.add_char buf ':';
+      add_g buf tau
+  | Dummy -> Buffer.add_string buf "dummy"
+
+let kernel_to_string k =
+  let buf = Buffer.create 48 in
+  add_kernel buf k;
+  Buffer.contents buf
 
 let kernel_of_string s : (Graph.kernel, string) result =
   let bad () = Result.Error (Printf.sprintf "bad kernel %S" s) in
@@ -86,15 +108,25 @@ let to_string g =
   Buffer.add_string buf "mdg\n";
   Array.iter
     (fun (nd : Graph.node) ->
-      Buffer.add_string buf
-        (Printf.sprintf "node %d %s %s\n" nd.id (kernel_to_string nd.kernel)
-           (quote nd.label)))
+      Buffer.add_string buf "node ";
+      add_int buf nd.id;
+      Buffer.add_char buf ' ';
+      add_kernel buf nd.kernel;
+      Buffer.add_char buf ' ';
+      add_quoted buf nd.label;
+      Buffer.add_char buf '\n')
     (Graph.nodes g);
   List.iter
     (fun (e : Graph.edge) ->
-      Buffer.add_string buf
-        (Printf.sprintf "edge %d %d %.17g %s\n" e.src e.dst e.bytes
-           (kind_to_string e.kind)))
+      Buffer.add_string buf "edge ";
+      add_int buf e.src;
+      Buffer.add_char buf ' ';
+      add_int buf e.dst;
+      Buffer.add_char buf ' ';
+      add_g buf e.bytes;
+      Buffer.add_char buf ' ';
+      Buffer.add_string buf (kind_to_string e.kind);
+      Buffer.add_char buf '\n')
     (Graph.edges g);
   Buffer.contents buf
 

@@ -64,15 +64,23 @@ let poll_interval = 0.05
    worker's buffer without bound. *)
 let max_line_bytes = 16 * 1024 * 1024
 
-type read_result = Line of string | Too_long | Eof | Timeout
+(* [Line (pos, len)] is the line [r.buf.[pos, pos + len)], without its
+   '\n'; it stays there until the next [read_line]. *)
+type read_result = Line of int * int | Too_long | Eof | Timeout
 
+(* The connection's unread bytes are [buf.[start, stop)], and none of
+   [buf.[start, scanned)] is a '\n'.  A line is decoded where it lies,
+   so reading one copies nothing: a depth-3 plan line is 8.7 kB, past
+   the minor heap's largest object, and a copy of it per request would
+   go straight to the major heap. *)
 type reader = {
   fd : Unix.file_descr;
-  chunk : Bytes.t;
-  pending : Buffer.t;  (* bytes read but not yet terminated by '\n' *)
-  lines : string Queue.t;  (* complete lines, oldest first *)
-  (* A line past [max_line_bytes] arrived after the queued ones; the
-     reader reads nothing more. *)
+  mutable buf : Bytes.t;
+  mutable start : int;
+  mutable scanned : int;
+  mutable stop : int;
+  (* A line past [max_line_bytes] came after the ones already
+     answered; the reader reads nothing more. *)
   mutable too_long : bool;
 }
 
@@ -80,66 +88,68 @@ let make_reader fd =
   Unix.setsockopt_float fd Unix.SO_RCVTIMEO poll_interval;
   {
     fd;
-    chunk = Bytes.create 65536;
-    pending = Buffer.create 256;
-    lines = Queue.create ();
+    buf = Bytes.create 65536;
+    start = 0;
+    scanned = 0;
+    stop = 0;
     too_long = false;
   }
 
+let take_line r ~stop =
+  let pos = r.start in
+  r.start <- Int.min (stop + 1) r.stop;
+  r.scanned <- r.start;
+  Line (pos, stop - pos)
+
 let rec read_line r =
-  match Queue.take_opt r.lines with
-  | Some line -> Line line
-  | None when r.too_long -> Too_long
-  | None -> (
-      match Unix.read r.fd r.chunk 0 (Bytes.length r.chunk) with
+  if r.too_long then Too_long
+  else begin
+    while r.scanned < r.stop && Bytes.unsafe_get r.buf r.scanned <> '\n' do
+      r.scanned <- r.scanned + 1
+    done;
+    if r.scanned - r.start > max_line_bytes then begin
+      r.too_long <- true;
+      Too_long
+    end
+    else if r.scanned < r.stop then take_line r ~stop:r.scanned
+    else begin
+      (* No '\n' yet: move the partial line to the front, grow the
+         buffer if the line fills it, and read more. *)
+      let len = r.stop - r.start in
+      if r.start > 0 then begin
+        Bytes.blit r.buf r.start r.buf 0 len;
+        r.start <- 0;
+        r.scanned <- len;
+        r.stop <- len
+      end;
+      if r.stop = Bytes.length r.buf then begin
+        let bigger =
+          Bytes.create
+            (Int.min (2 * Bytes.length r.buf) (max_line_bytes + 65536))
+        in
+        Bytes.blit r.buf 0 bigger 0 r.stop;
+        r.buf <- bigger
+      end;
+      match Unix.read r.fd r.buf r.stop (Bytes.length r.buf - r.stop) with
       | 0 ->
           (* A partial trailing line is still a request: it will fail
              JSON parsing and be answered before the close. *)
-          if Buffer.length r.pending > 0 then begin
-            let line = Buffer.contents r.pending in
-            Buffer.clear r.pending;
-            Line line
-          end
-          else Eof
+          if len > 0 then take_line r ~stop:r.stop else Eof
       | n ->
-          (* Append [chunk.[start, stop)] to the pending line, unless
-             that takes it past the cap. *)
-          let append start stop =
-            let len = stop - start in
-            if Buffer.length r.pending + len > max_line_bytes then begin
-              Buffer.reset r.pending;
-              r.too_long <- true;
-              false
-            end
-            else begin
-              Buffer.add_subbytes r.pending r.chunk start len;
-              true
-            end
-          in
-          let rec split start =
-            match Bytes.index_from_opt r.chunk start '\n' with
-            | Some nl when nl < n ->
-                if append start nl then begin
-                  let line = Buffer.contents r.pending in
-                  Buffer.clear r.pending;
-                  Queue.add line r.lines;
-                  split (nl + 1)
-                end
-            | _ -> ignore (append start n : bool)
-          in
-          split 0;
+          r.stop <- r.stop + n;
           read_line r
       | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) ->
           Timeout
       | exception Unix.Unix_error (Unix.EINTR, _, _) -> read_line r
-      | exception Unix.Unix_error ((Unix.ECONNRESET | Unix.EPIPE), _, _) -> Eof)
+      | exception Unix.Unix_error ((Unix.ECONNRESET | Unix.EPIPE), _, _) -> Eof
+    end
+  end
 
-let write_line fd line =
-  let data = line ^ "\n" in
-  let len = String.length data in
+(* Write [data.[0, len)]; [false] when the peer has gone. *)
+let write_all fd data len =
   let rec go off =
     if off < len then
-      match Unix.write_substring fd data off (len - off) with
+      match Unix.write fd data off (len - off) with
       | n -> go (off + n)
       | exception Unix.Unix_error (Unix.EINTR, _, _) -> go off
   in
@@ -147,19 +157,63 @@ let write_line fd line =
   | () -> true
   | exception Unix.Unix_error ((Unix.EPIPE | Unix.ECONNRESET), _, _) -> false
 
+let write_line fd line =
+  let data = Bytes.of_string (line ^ "\n") in
+  write_all fd data (Bytes.length data)
+
+(* A connection's replies are rendered into one buffer and written from
+   one block, both kept at the size of its largest reply, so a reply
+   allocates no block of its own size.  A depth-3 plan reply runs to
+   2 kB, past the minor heap's largest object. *)
+type writer = { out : Buffer.t; mutable block : Bytes.t }
+
+let make_writer () = { out = Buffer.create 4096; block = Bytes.create 4096 }
+
+let write_reply fd w reply =
+  Buffer.clear w.out;
+  Json.to_buffer w.out reply;
+  Buffer.add_char w.out '\n';
+  let len = Buffer.length w.out in
+  if Bytes.length w.block < len then
+    w.block <- Bytes.create (Int.max len (2 * Bytes.length w.block));
+  Buffer.blit w.out 0 w.block 0 len;
+  write_all fd w.block len
+
 (* ------------------------------------------------------------------ *)
 (* Request handling                                                    *)
 (* ------------------------------------------------------------------ *)
 
-let plan_config t (req : Protocol.plan_request) =
-  let config = { t.options.config with obs = t.obs; cache = Some t.cache } in
-  match req.pb with
-  | None -> config
-  | Some pb ->
-      {
-        config with
-        psa_options = { config.psa_options with pb = Core.Psa.Fixed pb };
-      }
+(* An exact hit is answered from the cache entry alone; the text is
+   parsed, and the PSA run, only when the entry is missing or was
+   scheduled under other options. *)
+let answer_plan (config : Core.Pipeline.config) ~default_params ~id
+    (env : Protocol.plan_envelope) =
+  let params =
+    match env.params with Some p -> p | None -> Lazy.force default_params
+  in
+  let config =
+    match env.pb with
+    | None -> config
+    | Some pb ->
+        {
+          config with
+          psa_options = { config.psa_options with pb = Core.Psa.Fixed pb };
+        }
+  in
+  let key = Core.Plan_cache.key params ~text:env.mdg ~procs:env.procs in
+  match Core.Pipeline.exact_hit config key with
+  | Some hit -> Ok (Protocol.hit_reply ~id ~procs:env.procs hit)
+  | None -> (
+      match Protocol.parse_plan env with
+      | Error _ as e -> e
+      | Ok req -> (
+          match
+            Core.Pipeline.plan ~config
+              (Core.Pipeline.request ~text:env.mdg params req.graph
+                 ~procs:req.procs)
+          with
+          | Ok plan -> Ok (Protocol.plan_reply ~id plan)
+          | Error e -> Ok (Protocol.pipeline_error_reply ~id e)))
 
 let server_stats t =
   let queue_depth, latency =
@@ -178,32 +232,33 @@ let server_stats t =
           { Protocol.op = latency_ops.(i); buckets = latency.(i) });
   }
 
-let handle t ~id request =
-  match request with
-  | Protocol.Ping -> Protocol.pong_reply ~id
-  | Protocol.Stats ->
-      Protocol.stats_reply ~id ~server:(server_stats t)
-        (Core.Plan_cache.stats t.cache)
-  | Protocol.Plan req -> (
-      let params =
-        match req.params with
-        | Some p -> p
-        | None -> Lazy.force t.options.default_params
-      in
-      let config = plan_config t req in
-      match
-        Core.Pipeline.plan ~config
-          (Core.Pipeline.request params req.graph ~procs:req.procs)
-      with
-      | Ok plan -> Protocol.plan_reply ~id plan
-      | Error e -> Protocol.pipeline_error_reply ~id e)
+(* Indices into [latency_ops]. *)
+let plan_op = 0
 
-let op_index = function
-  | Protocol.Plan _ -> 0
-  | Protocol.Stats -> 1
-  | Protocol.Ping -> 2
+let stats_op = 1
+
+let ping_op = 2
 
 let error_op = 3
+
+(* The reply to one decoded line, and the op its latency counts
+   under. *)
+let handle t ~id = function
+  | Protocol.Ping_line -> (ping_op, Protocol.pong_reply ~id)
+  | Protocol.Stats_line ->
+      ( stats_op,
+        Protocol.stats_reply ~id ~server:(server_stats t)
+          (Core.Plan_cache.stats t.cache) )
+  | Protocol.Plan_line env -> (
+      let config =
+        { t.options.config with obs = t.obs; cache = Some t.cache }
+      in
+      match
+        answer_plan config ~default_params:t.options.default_params ~id env
+      with
+      | Ok reply -> (plan_op, reply)
+      | Error msg ->
+          (error_op, Protocol.error_reply ~id ~kind:"protocol_error" msg))
 
 let record_latency t ~op dt_ms =
   let n = Array.length latency_bounds_ms in
@@ -214,7 +269,8 @@ let record_latency t ~op dt_ms =
   Mutex.protect t.lock (fun () ->
       t.latency.(op).(!b) <- t.latency.(op).(!b) + 1)
 
-(* [line] is [None] for a line past [max_line_bytes]. *)
+(* [line] is [Some (s, pos, len)] for the line [s.[pos, pos + len)],
+   and [None] for a line past [max_line_bytes]. *)
 let answer t line =
   let t0 = Obs.now () in
   let op, reply =
@@ -224,13 +280,13 @@ let answer t line =
           Protocol.error_reply ~id:Json.Null ~kind:"request_too_large"
             (Printf.sprintf "request line longer than %d bytes" max_line_bytes)
         )
-    | Some line -> (
-        match Protocol.decode_request line with
+    | Some (s, pos, len) -> (
+        match Protocol.decode_envelope s ~pos ~len with
         | Error (id, msg) ->
             (error_op, Protocol.error_reply ~id ~kind:"protocol_error" msg)
-        | Ok (id, request) -> (
-            match handle t ~id request with
-            | reply -> (op_index request, reply)
+        | Ok (id, envelope) -> (
+            match handle t ~id envelope with
+            | answered -> answered
             | exception exn ->
                 (* A bug in a pipeline stage must not take the worker
                    (and with it every queued connection) down. *)
@@ -240,11 +296,12 @@ let answer t line =
   in
   record_latency t ~op (1e3 *. (Obs.now () -. t0));
   Atomic.incr t.served;
-  Json.to_string reply
+  reply
 
 let serve_connection t fd =
   let obs = t.obs in
   let reader = make_reader fd in
+  let writer = make_writer () in
   (* Once stopping, allow one extra poll interval of idleness before
      closing: a request written just before the stop call may still be
      in flight when the first timeout fires. *)
@@ -260,18 +317,21 @@ let serve_connection t fd =
           end
         end
         else loop ()
-    | Line line ->
+    | Line (pos, len) ->
+        (* The reader writes its buffer again only in the next
+           [read_line], and nothing decoded shares it. *)
+        let line = Some (Bytes.unsafe_to_string reader.buf, pos, len) in
         let reply =
           if Obs.enabled obs then
             Obs.span obs ~cat:"server" "server.request" (fun () ->
-                answer t (Some line))
-          else answer t (Some line)
+                answer t line)
+          else answer t line
         in
-        if write_line fd reply then loop ()
+        if write_reply fd writer reply then loop ()
     | Too_long ->
         (* The rest of the over-long line is never read, so the
            connection cannot be resynchronised: answer and close. *)
-        ignore (write_line fd (answer t None) : bool)
+        ignore (write_reply fd writer (answer t None) : bool)
   in
   (match
      if Obs.enabled obs then
@@ -400,11 +460,11 @@ let start ?(options = default_options) () =
   if options.max_pending < 0 then
     invalid_arg "Server.start: max_pending must be >= 0";
   if Sys.os_type = "Unix" then Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
-  (* GC floor.  Request lines (several kB each) and each cache miss's
-     objective tape and workspace are too big for the minor heap, so
-     they are allocated straight in the major heap, and OCaml 5.1's
-     default [space_overhead] (120) cycles the major GC about four
-     times as often as 400 does.  On planbench serve-drift (seed 95,
+  (* GC floor.  Decoded MDG texts (several kB each) and each cache
+     miss's objective tape and workspace are too big for the minor
+     heap, so they are allocated straight in the major heap, and
+     OCaml 5.1's default [space_overhead] (120) cycles the major GC
+     about four times as often as 400 does.  On planbench serve-drift (seed 95,
      5 s, 2-vCPU VM, 3 runs each) the server ran 96 major collections
      at 119 req/s (p90 25.8 ms) with the default, and 24 at 130 req/s
      (p90 22.1 ms) with the floor.  A larger operator setting

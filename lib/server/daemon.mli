@@ -21,7 +21,10 @@
     up across clients: the steady state for a repetitive request mix
     is an exact warm-cache hit, answered with the stored result
     without entering the solver ([solve_skipped] in
-    {!Core.Pipeline.cache_outcome}).
+    {!Core.Pipeline.cache_outcome}).  A worker decodes a plan line's
+    envelope ({!Protocol.decode_envelope}) and looks its MDG text up
+    before parsing it, so an exact hit is answered from the cache
+    entry alone: no graph parse and no PSA ({!answer_plan}).
 
     {!stop} is graceful: the listener closes immediately, workers
     finish the request they are executing and any further requests
@@ -109,6 +112,21 @@ val connections_shed : t -> int
 
 val queue_depth : t -> int
 (** Admitted connections currently waiting for a worker. *)
+
+val answer_plan :
+  Core.Pipeline.config ->
+  default_params:Costmodel.Params.t Lazy.t ->
+  id:Json.t ->
+  Protocol.plan_envelope ->
+  (Json.t, string) result
+(** The reply a worker sends to one plan line, planned under [config]
+    (which carries the shared cache) with the line's [pb] override and
+    [default_params] when it sends no ["params"].  An exact hit is
+    answered from the cache entry alone
+    ({!Core.Pipeline.exact_hit}): the MDG text is not parsed and the
+    PSA does not run.  Anything else parses the text and runs
+    {!Core.Pipeline.plan} keyed on it.  [Error] is the protocol-error
+    message of a text that does not parse. *)
 
 val stop : t -> unit
 (** Graceful shutdown as described above.  Idempotent. *)

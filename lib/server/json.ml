@@ -64,6 +64,8 @@ let rec add buf = function
         fields;
       Buffer.add_char buf '}'
 
+let to_buffer = add
+
 let to_string v =
   let buf = Buffer.create 256 in
   add buf v;
@@ -77,9 +79,11 @@ exception Bad of int * string
 
 let max_depth = 64
 
-let of_string s =
-  let n = String.length s in
-  let pos = ref 0 in
+let of_substring s ~pos:first ~len =
+  if first < 0 || len < 0 || first > String.length s - len then
+    invalid_arg "Json.of_substring";
+  let n = first + len in
+  let pos = ref first in
   let fail fmt =
     Printf.ksprintf (fun msg -> raise (Bad (!pos, msg))) fmt
   in
@@ -132,17 +136,58 @@ let of_string s =
     | Some x -> x
     | None -> fail "malformed number"
   in
-  (* The two scans below keep their index in a local ref and read
+  (* The code point of the four hex digits at [i], or -1. *)
+  let hex4 i =
+    if i + 4 > n then -1
+    else
+      let digit c =
+        match c with
+        | '0' .. '9' -> Char.code c - 48
+        | 'a' .. 'f' -> Char.code c - 87
+        | 'A' .. 'F' -> Char.code c - 55
+        | _ -> -1
+      in
+      let d0 = digit s.[i] and d1 = digit s.[i + 1]
+      and d2 = digit s.[i + 2] and d3 = digit s.[i + 3] in
+      if d0 lor d1 lor d2 lor d3 < 0 then -1
+      else (d0 lsl 12) lor (d1 lsl 8) lor (d2 lsl 4) lor d3
+  in
+  (* A \u escape decodes to its code point in UTF-8; surrogate pairs
+     outside the BMP are not needed by this protocol and decode as two
+     replacement-range sequences. *)
+  let utf8_length code =
+    if code < 0x80 then 1 else if code < 0x800 then 2 else 3
+  in
+  (* The two passes below keep their index in a local ref and read
      unchecked only after testing it against [n]. *)
   let string_ () =
     expect '"';
-    (* The string's span in the input, up to its closing quote (or the
-       end of input): the decoded text is never longer. *)
-    let stop = ref !pos in
+    (* First pass: the string's span, up to its closing quote (or the
+       end of input), and its decoded length.  It decodes every valid
+       escape as the second pass does, so the second fills one exactly
+       sized block; an invalid escape fails there before it writes. *)
+    let stop = ref !pos and size = ref 0 in
     while !stop < n && String.unsafe_get s !stop <> '"' do
-      stop := !stop + if String.unsafe_get s !stop = '\\' then 2 else 1
+      (if String.unsafe_get s !stop <> '\\' then stop := !stop + 1
+       else
+         let code =
+           if !stop + 1 < n && String.unsafe_get s (!stop + 1) = 'u' then
+             hex4 (!stop + 2)
+           else -1
+         in
+         if code < 0 then stop := !stop + 2
+         else begin
+           stop := !stop + 6;
+           size := !size + utf8_length code - 1
+         end);
+      incr size
     done;
-    let buf = Buffer.create (Int.min n !stop - !pos) in
+    let out = Bytes.create !size in
+    let o = ref 0 in
+    let put c =
+      Bytes.set out !o c;
+      incr o
+    in
     let rec go () =
       (* A run of bytes that need no decoding (no quote, backslash or
          control character) is copied with one blit. *)
@@ -157,7 +202,8 @@ let of_string s =
         incr i
       done;
       pos := !i;
-      Buffer.add_substring buf s run (!i - run);
+      Bytes.blit_string s run out !o (!i - run);
+      o := !o + (!i - run);
       if !pos >= n then fail "unterminated string"
       else
         match s.[!pos] with
@@ -167,43 +213,35 @@ let of_string s =
             (if !pos >= n then fail "dangling escape"
              else
                match s.[!pos] with
-               | '"' -> Buffer.add_char buf '"'; advance ()
-               | '\\' -> Buffer.add_char buf '\\'; advance ()
-               | '/' -> Buffer.add_char buf '/'; advance ()
-               | 'n' -> Buffer.add_char buf '\n'; advance ()
-               | 't' -> Buffer.add_char buf '\t'; advance ()
-               | 'r' -> Buffer.add_char buf '\r'; advance ()
-               | 'b' -> Buffer.add_char buf '\b'; advance ()
-               | 'f' -> Buffer.add_char buf '\012'; advance ()
+               | '"' -> put '"'; advance ()
+               | '\\' -> put '\\'; advance ()
+               | '/' -> put '/'; advance ()
+               | 'n' -> put '\n'; advance ()
+               | 't' -> put '\t'; advance ()
+               | 'r' -> put '\r'; advance ()
+               | 'b' -> put '\b'; advance ()
+               | 'f' -> put '\012'; advance ()
                | 'u' ->
                    advance ();
-                   if !pos + 4 > n then fail "bad \\u escape";
-                   let hex = String.sub s !pos 4 in
-                   (match int_of_string_opt ("0x" ^ hex) with
-                   | None -> fail "bad \\u escape"
-                   | Some code ->
-                       pos := !pos + 4;
-                       (* Encode the code point as UTF-8; surrogate
-                          pairs outside the BMP are not needed by this
-                          protocol and decode as two replacement-range
-                          sequences. *)
-                       if code < 0x80 then Buffer.add_char buf (Char.chr code)
-                       else if code < 0x800 then begin
-                         Buffer.add_char buf (Char.chr (0xC0 lor (code lsr 6)));
-                         Buffer.add_char buf (Char.chr (0x80 lor (code land 0x3F)))
-                       end
-                       else begin
-                         Buffer.add_char buf (Char.chr (0xE0 lor (code lsr 12)));
-                         Buffer.add_char buf
-                           (Char.chr (0x80 lor ((code lsr 6) land 0x3F)));
-                         Buffer.add_char buf (Char.chr (0x80 lor (code land 0x3F)))
-                       end)
+                   let code = hex4 !pos in
+                   if code < 0 then fail "bad \\u escape";
+                   pos := !pos + 4;
+                   if code < 0x80 then put (Char.chr code)
+                   else if code < 0x800 then begin
+                     put (Char.chr (0xC0 lor (code lsr 6)));
+                     put (Char.chr (0x80 lor (code land 0x3F)))
+                   end
+                   else begin
+                     put (Char.chr (0xE0 lor (code lsr 12)));
+                     put (Char.chr (0x80 lor ((code lsr 6) land 0x3F)));
+                     put (Char.chr (0x80 lor (code land 0x3F)))
+                   end
                | c -> fail "bad escape \\%c" c);
             go ()
         | _ -> fail "raw control character in string"
     in
     go ();
-    Buffer.contents buf
+    Bytes.unsafe_to_string out
   in
   (* [depth] counts the arrays and objects open around the value. *)
   let rec value depth =
@@ -271,7 +309,9 @@ let of_string s =
   with
   | v -> Ok v
   | exception Bad (at, msg) ->
-      Error (Printf.sprintf "JSON parse error at byte %d: %s" at msg)
+      Error (Printf.sprintf "JSON parse error at byte %d: %s" (at - first) msg)
+
+let of_string s = of_substring s ~pos:0 ~len:(String.length s)
 
 (* ------------------------------------------------------------------ *)
 (* Helpers                                                             *)

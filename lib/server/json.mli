@@ -26,6 +26,9 @@ val to_string : t -> string
 (** Compact rendering, single line (strings escape control
     characters). *)
 
+val to_buffer : Buffer.t -> t -> unit
+(** Append {!to_string}'s text to the buffer. *)
+
 val max_depth : int
 (** [64]: the most arrays and objects {!of_string} accepts nested
     inside one another.  The deepest message of {!Protocol} nests 6. *)
@@ -36,6 +39,11 @@ val of_string : string -> (t, string) result
     offset.  A value nested deeper than {!max_depth} is an [Error]
     naming the limit, so the parser's recursion (and the stack of the
     domain that runs it) stays bounded whatever the input. *)
+
+val of_substring : string -> pos:int -> len:int -> (t, string) result
+(** {!of_string} of [String.sub s pos len], without the copy: nothing
+    in the result shares [s], and byte offsets in errors count from
+    [pos].  Raises [Invalid_argument] if the range is not within [s]. *)
 
 (** {2 Construction helpers} *)
 

@@ -67,6 +67,15 @@ let params_of_json j =
 (* Requests                                                            *)
 (* ------------------------------------------------------------------ *)
 
+type plan_envelope = {
+  mdg : string;
+  procs : int;
+  params : Costmodel.Params.t option;
+  pb : int option;
+}
+
+type envelope = Plan_line of plan_envelope | Stats_line | Ping_line
+
 type plan_request = {
   graph : Mdg.Graph.t;
   procs : int;
@@ -78,17 +87,20 @@ type request = Plan of plan_request | Stats | Ping
 
 let request_id j = Option.value (Json.member "id" j) ~default:Json.Null
 
-let decode_plan id j =
-  let res =
-    let* mdg = Json.str_field "mdg" j in
-    let* graph =
-      match Mdg.Serialize.of_string mdg with
-      | g -> Ok g
-      | exception Mdg.Serialize.Parse_error { line; message } ->
-          Error (Printf.sprintf "mdg line %d: %s" line message)
-      | exception Invalid_argument msg ->
-          Error (Printf.sprintf "invalid mdg: %s" msg)
-    in
+let parse_mdg mdg =
+  match Mdg.Serialize.of_string mdg with
+  | g -> Ok g
+  | exception Mdg.Serialize.Parse_error { line; message } ->
+      Error (Printf.sprintf "mdg line %d: %s" line message)
+  | exception Invalid_argument msg -> Error (Printf.sprintf "invalid mdg: %s" msg)
+
+let parse_plan (env : plan_envelope) =
+  let* graph = parse_mdg env.mdg in
+  Ok { graph; procs = env.procs; params = env.params; pb = env.pb }
+
+let decode_plan_envelope j =
+  let* mdg = Json.str_field "mdg" j in
+  let rest =
     let* procs = Json.int_field "procs" j in
     let* params =
       match Json.member "params" j with
@@ -103,24 +115,43 @@ let decode_plan id j =
           | None | Some Json.Null -> Ok None
           | Some pb -> Result.map Option.some (Json.to_int pb))
     in
-    Ok (Plan { graph; procs; params; pb })
+    Ok { mdg; procs; params; pb }
   in
-  match res with
-  | Ok req -> Ok (id, req)
-  | Error msg -> Error (id, msg)
+  match rest with
+  | Ok env -> Ok (Plan_line env)
+  | Error msg ->
+      (* A bad MDG is reported before the fields that follow it. *)
+      let* _ = parse_mdg mdg in
+      Error msg
 
-let decode_request line =
-  match Json.of_string line with
+let decode_envelope ?(pos = 0) ?len line =
+  let len = Option.value len ~default:(String.length line - pos) in
+  match Json.of_substring line ~pos ~len with
   | Error msg -> Error (Json.Null, msg)
   | Ok j -> (
       let id = request_id j in
-      match Json.member "op" j with
-      | None | Some (Json.Str "plan") -> decode_plan id j
-      | Some (Json.Str "stats") -> Ok (id, Stats)
-      | Some (Json.Str "ping") -> Ok (id, Ping)
-      | Some (Json.Str op) ->
-          Error (id, Printf.sprintf "unknown op %S (plan|stats|ping)" op)
-      | Some _ -> Error (id, "field \"op\" must be a string"))
+      let decoded =
+        match Json.member "op" j with
+        | None | Some (Json.Str "plan") -> decode_plan_envelope j
+        | Some (Json.Str "stats") -> Ok Stats_line
+        | Some (Json.Str "ping") -> Ok Ping_line
+        | Some (Json.Str op) ->
+            Error (Printf.sprintf "unknown op %S (plan|stats|ping)" op)
+        | Some _ -> Error "field \"op\" must be a string"
+      in
+      match decoded with
+      | Ok envelope -> Ok (id, envelope)
+      | Error msg -> Error (id, msg))
+
+let decode_request line =
+  match decode_envelope line with
+  | Error _ as e -> e
+  | Ok (id, Stats_line) -> Ok (id, Stats)
+  | Ok (id, Ping_line) -> Ok (id, Ping)
+  | Ok (id, Plan_line env) -> (
+      match parse_plan env with
+      | Ok req -> Ok (id, Plan req)
+      | Error msg -> Error (id, msg))
 
 let with_id id fields =
   match id with Json.Null -> fields | id -> ("id", id) :: fields
@@ -192,34 +223,50 @@ let cache_use_to_string : Core.Pipeline.cache_use -> string = function
   | Miss -> "miss"
   | Off -> "off"
 
-let plan_reply ~id (plan : Core.Pipeline.plan) =
+(* Every plan reply, from a whole plan or from a cache entry, is this
+   one rendering of the allocation, the PSA's fields and the cache
+   outcome.  [nodes] is the normalised graph's, one per allocation. *)
+let summary_reply ~id ~procs (allocation : Core.Allocation.result) ~t_psa
+    ~makespan ~pb ~rounded_alloc (cache : Core.Pipeline.cache_outcome) =
   Json.Obj
     (with_id id
        [
          ("status", Json.Str "ok");
-         ("phi", Json.Num plan.allocation.phi);
-         ("t_psa", Json.Num plan.psa.t_psa);
-         ("makespan", Json.Num (Core.Schedule.makespan plan.psa.schedule));
-         ("pb", Json.int plan.psa.pb);
-         ("procs", Json.int plan.procs);
-         ("nodes", Json.int (Mdg.Graph.num_nodes plan.graph));
-         ("alloc", Json.float_array plan.allocation.alloc);
-         ("rounded_alloc", Json.int_array plan.psa.rounded_alloc);
+         ("phi", Json.Num allocation.phi);
+         ("t_psa", Json.Num t_psa);
+         ("makespan", Json.Num makespan);
+         ("pb", Json.int pb);
+         ("procs", Json.int procs);
+         ("nodes", Json.int (Array.length allocation.alloc));
+         ("alloc", Json.float_array allocation.alloc);
+         ("rounded_alloc", Json.int_array rounded_alloc);
          ( "solver",
            Json.Obj
              [
-               ("iterations", Json.int plan.allocation.solver.iterations);
-               ("stages", Json.int plan.allocation.solver.stages);
-               ("converged", Json.Bool plan.allocation.solver.converged);
+               ("iterations", Json.int allocation.solver.iterations);
+               ("stages", Json.int allocation.solver.stages);
+               ("converged", Json.Bool allocation.solver.converged);
              ] );
          ( "cache",
            Json.Obj
              [
-               ("warm", Json.Str (cache_use_to_string plan.cache.warm));
-               ("solve_skipped", Json.Bool plan.cache.solve_skipped);
-               ("coalesced", Json.Bool plan.cache.coalesced);
+               ("warm", Json.Str (cache_use_to_string cache.warm));
+               ("solve_skipped", Json.Bool cache.solve_skipped);
+               ("coalesced", Json.Bool cache.coalesced);
              ] );
        ])
+
+let plan_reply ~id (plan : Core.Pipeline.plan) =
+  summary_reply ~id ~procs:plan.procs plan.allocation ~t_psa:plan.psa.t_psa
+    ~makespan:(Core.Schedule.makespan plan.psa.schedule)
+    ~pb:plan.psa.pb ~rounded_alloc:plan.psa.rounded_alloc plan.cache
+
+let hit_reply ~id ~procs
+    ((allocation, r) : Core.Allocation.result * Core.Plan_cache.reply_fields)
+    =
+  summary_reply ~id ~procs allocation ~t_psa:r.t_psa ~makespan:r.makespan
+    ~pb:r.pb ~rounded_alloc:r.rounded_alloc
+    { warm = Hit; solve_skipped = true; coalesced = false }
 
 let server_stats_to_json (s : server_stats) =
   Json.Obj

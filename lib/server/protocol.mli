@@ -56,7 +56,23 @@
     hint; the request was never admitted) or a ["request_too_large"]
     reply the server closes the connection. *)
 
-(** {2 Requests} *)
+(** {2 Requests}
+
+    A line decodes in two steps: {!decode_envelope} reads the JSON and
+    every field but the graph, keeping the ["mdg"] text as received;
+    {!parse_plan} then parses that text.  The plan server looks an
+    envelope up in its cache first, so an exact repeat of an earlier
+    request is answered without the second step.  {!decode_request}
+    runs both. *)
+
+type plan_envelope = {
+  mdg : string;  (** the MDG text, as received *)
+  procs : int;
+  params : Costmodel.Params.t option;  (** [None]: server default *)
+  pb : int option;  (** processor-bound override (power of two) *)
+}
+
+type envelope = Plan_line of plan_envelope | Stats_line | Ping_line
 
 type plan_request = {
   graph : Mdg.Graph.t;
@@ -70,10 +86,22 @@ type request =
   | Stats  (** cache statistics snapshot *)
   | Ping
 
+val decode_envelope :
+  ?pos:int -> ?len:int -> string -> (Json.t * envelope, Json.t * string) result
+(** Decode one request line, [s.[pos, pos + len)] (by default all of
+    [s]), all but a plan's graph; nothing decoded shares [s].  Both
+    constructors
+    carry the request id to echo ([Json.Null] when absent or
+    unrecoverable); [Error] carries the protocol-error message.  When a
+    plan's other fields are malformed, the MDG text is parsed after
+    all, so a bad MDG is reported first, as {!decode_request} does. *)
+
+val parse_plan : plan_envelope -> (plan_request, string) result
+(** Parse the envelope's MDG text; [Error] is the protocol-error
+    message. *)
+
 val decode_request : string -> (Json.t * request, Json.t * string) result
-(** Parse one request line.  Both constructors carry the request id to
-    echo ([Json.Null] when absent or unrecoverable); [Error] carries
-    the protocol-error message. *)
+(** {!decode_envelope}, then {!parse_plan} for a plan line. *)
 
 val encode_plan_request :
   ?id:Json.t ->
@@ -143,6 +171,16 @@ type reply =
       (** [retry_after_ms] is only set on [overloaded] shed replies *)
 
 val plan_reply : id:Json.t -> Core.Pipeline.plan -> Json.t
+
+val hit_reply :
+  id:Json.t ->
+  procs:int ->
+  Core.Allocation.result * Core.Plan_cache.reply_fields ->
+  Json.t
+(** The reply to an exact hit ({!Core.Pipeline.exact_hit}) on [procs]
+    processors: byte for byte the {!plan_reply} of the plan
+    {!Core.Pipeline.plan} returns for the same request, whose cache
+    outcome is a hit that skipped the solve. *)
 
 val stats_reply : id:Json.t -> ?server:server_stats -> Core.Plan_cache.stats -> Json.t
 (** Carries every {!Core.Plan_cache.stats} field.  [warm_shape_hits]

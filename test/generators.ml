@@ -44,7 +44,9 @@ let cache_key ~procs h =
   ignore
     (G.add_node b ~label:"k"
        ~kernel:(G.Synthetic { alpha = 0.1; tau = float_of_int h }));
-  Core.Plan_cache.key (synth_params ()) (G.build b) ~procs
+  Core.Plan_cache.key (synth_params ())
+    ~text:(Mdg.Serialize.to_string (G.build b))
+    ~procs
 
 (* Two 2-node MDGs that differ only in node 0's kernel, found by a
    birthday search over synthetic (alpha, tau) bit patterns so that

@@ -91,7 +91,10 @@ let prop_cached_plan_is_cold_plan =
           in
           let req = P.request params g ~procs in
           let served = plan_phi ~config req and cold = plan_phi req in
-          let key = Core.Plan_cache.key params (G.normalise g) ~procs in
+          let key =
+            Core.Plan_cache.key params ~text:(Mdg.Serialize.to_string g)
+              ~procs
+          in
           let repeat = Hashtbl.mem seen key in
           Hashtbl.replace seen key ();
           if (served.cache.warm = P.Hit) <> repeat then
@@ -265,6 +268,23 @@ let test_no_hash_collisions () =
   Alcotest.(check int) "structural_hash collisions in 10k random MDGs" 0
     !collisions
 
+(* One MDG planned under three constant sets is three entries that
+   share one physical text, though each request serialised its graph
+   afresh. *)
+let test_one_text_per_mdg () =
+  let cache = Core.Plan_cache.create () in
+  let config = P.(default_config |> with_cache cache) in
+  let g = Generators.mdg_of_seed 7 in
+  let base = base_params () in
+  List.iter
+    (fun params -> ignore (plan_phi ~config (P.request params g ~procs:16)))
+    [ base; perturbed ~scale:0.9 base; perturbed ~scale:1.1 base ];
+  match Core.Plan_cache.texts cache with
+  | [ a; b; c ] ->
+      Alcotest.(check string) "the graph's text" (Mdg.Serialize.to_string g) a;
+      Alcotest.(check bool) "one physical text" true (a == b && b == c)
+  | texts -> Alcotest.failf "%d entries, expected 3" (List.length texts)
+
 let suite =
   [
     QCheck_alcotest.to_alcotest prop_cached_plan_is_cold_plan;
@@ -278,4 +298,6 @@ let suite =
       `Quick test_colliding_hashes_concurrent;
     Alcotest.test_case "no structural_hash collisions (10k graphs)" `Slow
       test_no_hash_collisions;
+    Alcotest.test_case "one MDG under three constant sets: one text" `Quick
+      test_one_text_per_mdg;
   ]

@@ -284,13 +284,14 @@ let kinked_max =
 
 (* Both solve entry points must raise [msg entry] before running a
    stage. *)
-let check_both_reject ?options ?x0 what msg ~lo ~hi =
+let check_both_reject ?(objective = kinked_max) ?options ?x0 what msg ~lo ~hi
+    =
   Alcotest.check_raises (what ^ ", solve")
     (Invalid_argument (msg "Solver.solve")) (fun () ->
-      ignore (Solver.solve ?options ?x0 { objective = kinked_max; lo; hi }));
+      ignore (Solver.solve ?options ?x0 { objective; lo; hi }));
   Alcotest.check_raises (what ^ ", solve_compiled")
     (Invalid_argument (msg "Solver.solve_compiled")) (fun () ->
-      let c = Solver.compile kinked_max in
+      let c = Solver.compile objective in
       ignore (Solver.solve_compiled ?options ?x0 c ~lo ~hi))
 
 (* NaN or +inf mu_init, and NaN or negative mu_final, used to hang the
@@ -327,6 +328,35 @@ let test_solver_rejects_nan_start () =
   check_both_reject "unbounded box"
     (fun entry -> entry ^ ": the box centre has a NaN coordinate")
     ~lo:[| Float.neg_infinity |] ~hi:[| Float.infinity |]
+
+(* A finite mu_init whose product with the start value overflows made
+   the first temperature +inf, and the anneal never ended: at f = 1e10
+   that is mu_init = 1e300 (1e290 still solves, in 150 stages). *)
+let test_solver_rejects_overflowing_temperature () =
+  let lo, hi = box 1 (-2.0) 2.0 in
+  let objective =
+    Expr.max_
+      [
+        Expr.term ~coeff:1e10 ~expts:[ (0, 1.0) ];
+        Expr.term ~coeff:1e10 ~expts:[ (0, -1.0) ];
+      ]
+  in
+  let msg field entry =
+    Printf.sprintf "%s: options.%s scaled by the start value is not finite"
+      entry field
+  in
+  check_both_reject ~objective
+    ~options:{ Solver.default_options with mu_init = 1e300 }
+    "mu_init = 1e300" (msg "mu_init") ~lo ~hi;
+  check_both_reject ~objective
+    ~options:{ Solver.default_options with mu_final = 1e300 }
+    "mu_final = 1e300" (msg "mu_final") ~lo ~hi;
+  let r =
+    Solver.solve
+      ~options:{ Solver.default_options with mu_init = 1e290 }
+      { objective; lo; hi }
+  in
+  check_close ~eps:1e-4 "1e290 still solves" 0.0 r.x.(0)
 
 let prop_solver_beats_random_points =
   (* Global optimality: no random feasible point does better. *)
@@ -386,4 +416,6 @@ let suite =
       `Quick test_solver_rejects_options;
     Alcotest.test_case "solver: rejects a NaN bound or start point" `Quick
       test_solver_rejects_nan_start;
+    Alcotest.test_case "solver: rejects a temperature that overflows" `Quick
+      test_solver_rejects_overflowing_temperature;
   ]

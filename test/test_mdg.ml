@@ -248,6 +248,118 @@ let prop_random_workload_well_formed =
       let r = A.reachable g (G.start_node g) in
       Array.for_all Fun.id r)
 
+(* ------------------------------------------------------------------ *)
+(* Serialisation: the text is a cache key                              *)
+(* ------------------------------------------------------------------ *)
+
+(* Graphs for the serialisation tests: layered and workgen MDGs from
+   Generators, the colliding pair, Strassen, and labels holding a
+   quote, a backslash and newlines. *)
+let serialise_cases () =
+  let workgen seed =
+    Workgen.generate
+      (Workgen.spec_of_string_exn "depth=3,branch=3,cutoff=0.15,wiring=0.3")
+      ~seed
+  in
+  let labelled =
+    let b = G.create_builder () in
+    let node label =
+      G.add_node b ~label ~kernel:(G.Synthetic { alpha = 0.1; tau = 0.25 })
+    in
+    let a = node "say \"hi\"" in
+    let c = node "back\\slash\\" in
+    let d = node "two\nlines\n" in
+    let e = node "" in
+    G.add_edge b ~src:a ~dst:c ~bytes:1e6 ~kind:G.Oned;
+    G.add_edge b ~src:c ~dst:d ~bytes:0.1 ~kind:G.Twod;
+    G.add_edge b ~src:d ~dst:e ~bytes:3.0e-300 ~kind:G.Oned;
+    G.build b
+  in
+  let a, b = Generators.colliding_pair () in
+  [ a; b; labelled; G.normalise labelled ]
+  @ List.init 8 (fun seed -> Generators.mdg_of_seed seed)
+  @ List.init 8 workgen
+  @ [ fst (Kernels.Strassen_mdg.graph ~n:128 ()) ]
+
+(* The plan server keys its cache on the text it received and
+   in-process callers on [to_string] of their graph, so encoder output
+   must read back to itself. *)
+let test_serialise_text_round_trip () =
+  List.iteri
+    (fun i g ->
+      let s = Mdg.Serialize.to_string g in
+      Alcotest.(check string)
+        (Printf.sprintf "case %d: to_string (of_string s) = s" i)
+        s
+        (Mdg.Serialize.to_string (Mdg.Serialize.of_string s)))
+    (serialise_cases ())
+
+(* The Printf rendering [Mdg.Serialize.to_string] had before it wrote
+   into one buffer: the reference its text must equal byte for byte. *)
+let printf_to_string g =
+  let quote label =
+    let buf = Buffer.create (String.length label + 2) in
+    Buffer.add_char buf '"';
+    String.iter
+      (fun c ->
+        match c with
+        | '"' -> Buffer.add_string buf "\\\""
+        | '\\' -> Buffer.add_string buf "\\\\"
+        | '\n' -> Buffer.add_string buf "\\n"
+        | c -> Buffer.add_char buf c)
+      label;
+    Buffer.add_char buf '"';
+    Buffer.contents buf
+  in
+  let kernel : G.kernel -> string = function
+    | Matrix_init n -> Printf.sprintf "init:%d" n
+    | Matrix_add n -> Printf.sprintf "add:%d" n
+    | Matrix_multiply n -> Printf.sprintf "mul:%d" n
+    | Synthetic { alpha; tau } ->
+        Printf.sprintf "synthetic:%.17g:%.17g" alpha tau
+    | Dummy -> "dummy"
+  in
+  let buf = Buffer.create 1024 in
+  Buffer.add_string buf "mdg\n";
+  Array.iter
+    (fun (nd : G.node) ->
+      Buffer.add_string buf
+        (Printf.sprintf "node %d %s %s\n" nd.id (kernel nd.kernel)
+           (quote nd.label)))
+    (G.nodes g);
+  List.iter
+    (fun (e : G.edge) ->
+      Buffer.add_string buf
+        (Printf.sprintf "edge %d %d %.17g %s\n" e.src e.dst e.bytes
+           (match e.kind with Oned -> "1d" | Twod -> "2d")))
+    (G.edges g);
+  Buffer.contents buf
+
+let test_serialise_matches_printf () =
+  List.iteri
+    (fun i g ->
+      Alcotest.(check string)
+        (Printf.sprintf "case %d: same text as Printf" i)
+        (printf_to_string g) (Mdg.Serialize.to_string g))
+    (serialise_cases ());
+  List.iter
+    (fun k ->
+      let g =
+        let b = G.create_builder () in
+        ignore (G.add_node b ~label:"k" ~kernel:k);
+        G.build b
+      in
+      Alcotest.(check string) "every kernel form" (printf_to_string g)
+        (Mdg.Serialize.to_string g))
+    [
+      G.Matrix_init 8;
+      G.Matrix_add 64;
+      G.Matrix_multiply 1024;
+      G.Dummy;
+      G.Synthetic { alpha = 0.0; tau = 1e-310 };
+      G.Synthetic { alpha = 1.0; tau = 123456789.0 };
+    ]
+
 let suite =
   [
     Alcotest.test_case "build + accessors" `Quick test_build_accessors;
@@ -277,4 +389,8 @@ let suite =
     Alcotest.test_case "render ASCII + summary" `Quick
       test_render_ascii_and_summary;
     QCheck_alcotest.to_alcotest prop_random_workload_well_formed;
+    Alcotest.test_case "serialise: encoder output reads back to itself"
+      `Quick test_serialise_text_round_trip;
+    Alcotest.test_case "serialise: text equals the Printf rendering" `Quick
+      test_serialise_matches_printf;
   ]

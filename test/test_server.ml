@@ -13,12 +13,12 @@ module Client = Server.Client
 
 (* A small diamond MDG of synthetic kernels: no calibration table
    needed, so it plans under any parameter set. *)
-let diamond ?(tau = 1.0) () =
+let diamond ?(tau = 1.0) ?(label = "a") () =
   let b = Mdg.Graph.create_builder () in
   let node label alpha tau =
     Mdg.Graph.add_node b ~label ~kernel:(Synthetic { alpha; tau })
   in
-  let a = node "a" 0.05 tau in
+  let a = node label 0.05 tau in
   let l = node "left" 0.02 (2.0 *. tau) in
   let r = node "right" 0.10 (1.5 *. tau) in
   let j = node "join" 0.05 tau in
@@ -707,6 +707,148 @@ let test_server_graceful_shutdown () =
   (* stop is idempotent *)
   Srv.stop srv
 
+(* A decoded string is one block of its decoded size: no buffer that
+   is then copied.  The slack covers the parser's closures and the
+   result's constructors; a second copy would double the total. *)
+let test_json_string_one_block () =
+  let b = Buffer.create 70_000 in
+  Buffer.add_char b '"';
+  let decoded = ref 0 in
+  while !decoded < 64 * 1024 do
+    Buffer.add_string b "mdg\\nnode \\\"\\u00e9\\u20ac\\/";
+    decoded := !decoded + 16
+  done;
+  Buffer.add_char b '"';
+  let line = Buffer.contents b in
+  let before = Gc.allocated_bytes () in
+  let v = Json.of_string line in
+  let allocated = Gc.allocated_bytes () -. before in
+  (match v with
+  | Ok (Json.Str s) ->
+      Alcotest.(check int) "decoded length" !decoded (String.length s)
+  | _ -> Alcotest.fail "expected a string");
+  if allocated > float_of_int (!decoded + 2048) then
+    Alcotest.failf "decoding %d bytes allocated %.0f bytes" !decoded allocated
+
+let plan_line ?pb ~id g =
+  Json.to_string
+    (Protocol.encode_plan_request ~id:(Json.int id) ?pb g ~procs:16)
+
+let cache_outcome (s : Protocol.plan_summary) : Core.Pipeline.cache_outcome =
+  {
+    warm =
+      (match s.warm_cache with
+      | "hit" -> Hit
+      | "miss" -> Miss
+      | other -> Alcotest.failf "unexpected warm %S" other);
+    solve_skipped = s.solve_skipped;
+    coalesced = s.coalesced;
+  }
+
+(* Every plan reply over the wire, hit or miss, default options or an
+   explicit PB, is byte for byte the reply of the uncached in-process
+   plan with the reply's own cache fields. *)
+let test_server_replies_are_uncached_replies () =
+  with_server @@ fun srv ->
+  with_client srv @@ fun c ->
+  let g1 = diamond () and g2 = diamond ~tau:2.0 () in
+  (* A line longer than the daemon's 64 KiB read buffer. *)
+  let long = diamond ~label:(String.make 100_000 'x') () in
+  let steps =
+    [
+      (long, None, "miss");
+      (long, None, "hit");
+      (g1, None, "miss");
+      (g1, None, "hit");
+      (g1, Some 4, "hit");
+      (g2, Some 4, "miss");
+      (g1, Some 4, "hit");
+      (g2, None, "hit");
+      (g2, Some 4, "hit");
+      (g1, None, "hit");
+    ]
+  in
+  List.iteri
+    (fun id (g, pb, warm) ->
+      Client.send_line c (plan_line ?pb ~id g);
+      let reply = get (Client.recv_line c) in
+      let summary =
+        match Protocol.decode_reply reply with
+        | Ok (_, Protocol.Plan_reply s) -> s
+        | _ -> Alcotest.failf "request %d: not a plan reply: %s" id reply
+      in
+      Alcotest.(check string) (Printf.sprintf "request %d: warm" id) warm
+        summary.warm_cache;
+      let config =
+        match pb with
+        | None -> Core.Pipeline.default_config
+        | Some pb ->
+            Core.Pipeline.with_psa_options
+              { Core.Psa.default_options with pb = Core.Psa.Fixed pb }
+              Core.Pipeline.default_config
+      in
+      let cold =
+        match
+          Core.Pipeline.plan ~config
+            (Core.Pipeline.request (Costmodel.Params.cm5 ()) g ~procs:16)
+        with
+        | Ok p -> p
+        | Error e -> Alcotest.fail (Core.Pipeline.error_to_string e)
+      in
+      Alcotest.(check string)
+        (Printf.sprintf "request %d: reply bytes" id)
+        (Json.to_string
+           (Protocol.plan_reply ~id:(Json.int id)
+              { cold with cache = cache_outcome summary }))
+        reply)
+    steps;
+  (* A PB the PSA rejects is still a hit on the stored allocation, and
+     still answers invalid_request. *)
+  Client.send_line c (plan_line ~pb:3 ~id:99 g1);
+  match Protocol.decode_reply (get (Client.recv_line c)) with
+  | Ok (_, Protocol.Error_reply { kind; _ }) ->
+      Alcotest.(check string) "pb=3" "invalid_request" kind
+  | _ -> Alcotest.fail "pb=3: expected an error reply"
+
+(* An exact hit over the wire runs no PSA: no schedule span, and one
+   cache counter recording the hit. *)
+let test_server_exact_hit_skips_psa () =
+  let recorder = Obs.Recorder.create () in
+  let options =
+    {
+      Srv.default_options with
+      config =
+        Core.Pipeline.with_obs
+          (Obs.Recorder.sink recorder)
+          Core.Pipeline.default_config;
+    }
+  in
+  with_server ~options @@ fun srv ->
+  with_client srv @@ fun c ->
+  let g = diamond () in
+  let ask id =
+    Client.send_line c (plan_line ~id g);
+    ignore (get (Client.recv_line c) : string)
+  in
+  ask 1;
+  let named name =
+    List.filter
+      (fun e -> Obs.Events.name e = name)
+      (Obs.Recorder.events recorder)
+  in
+  Alcotest.(check bool) "the miss schedules" true
+    (named "pipeline.schedule" <> []);
+  Obs.Recorder.clear recorder;
+  ask 2;
+  Alcotest.(check int) "no schedule span on the hit" 0
+    (List.length (named "pipeline.schedule"));
+  match named "pipeline.cache" with
+  | [ Obs.Events.Counter { series; _ } ] ->
+      Alcotest.(check (float 0.0)) "warm_hit" 1.0 (List.assoc "warm_hit" series)
+  | events ->
+      Alcotest.failf "%d pipeline.cache events on the hit, expected one"
+        (List.length events)
+
 let suite =
   [
     Alcotest.test_case "json: round-trip" `Quick test_json_roundtrip;
@@ -743,4 +885,10 @@ let suite =
       test_server_overload_stress;
     Alcotest.test_case "server: graceful shutdown drains" `Quick
       test_server_graceful_shutdown;
+    Alcotest.test_case "json: a decoded string is one block" `Quick
+      test_json_string_one_block;
+    Alcotest.test_case "server: every reply is the uncached plan's reply"
+      `Quick test_server_replies_are_uncached_replies;
+    Alcotest.test_case "server: an exact hit runs no PSA" `Quick
+      test_server_exact_hit_skips_psa;
   ]
